@@ -19,14 +19,10 @@ from .algebra import (
     ParityViolation,
     ScalarKindMismatch,
     Z2Algebra,
-    even_part,
     graded_norm,
-    invert,
     is_alternative,
     is_associative,
     load_algebra,
-    mul,
-    odd_part,
     save_algebra,
     validate_z2,
 )
@@ -42,9 +38,6 @@ from .bch import (
     extended_bch,
     gen,
     printed_series_terms,
-    series_exp,
-    series_log,
-    series_mul,
     square_term,
 )
 from .blockmodel import (
@@ -61,7 +54,6 @@ from .blockmodel import (
     xi_closure_check,
 )
 from .brackets import (
-    BracketedAlgebra,
     SubalgebraBasis,
     angle,
     generate_subalgebra,
@@ -72,12 +64,10 @@ from .catalog import (
     CATALOG_NAMES,
     CatalogName,
     IllegalName,
-    NormedElement,
     NotClosed,
     catalog_algebra,
     composition_check,
     division_check,
-    norm,
     subalgebra_restrict,
 )
 from .report import CheckResult, VerificationReport

@@ -1,9 +1,10 @@
 """Exact structure-constant arithmetic for finite-dimensional Z2-graded algebras.
 
 An algebra is specified by a basis ``e_0 .. e_{dim-1}``, a parity bit per
-basis vector (0 even, 1 odd), a dense rational structure-constant tensor
-``c`` with ``e_i * e_j = sum_k c[i][j][k] e_k``, and the coefficient
-vector of a two-sided identity element.  The grading obeys
+basis vector (0 even, 1 odd), sparse rational structure constants
+``(i, j, k, c)`` with ``e_i * e_j`` the sum of ``c e_k`` over the rows
+for ``(i, j)``, and the coefficient vector of a two-sided identity
+element.  The grading obeys
 
     even * even  in  even,
     even * odd   in  odd,     odd * even  in  odd,
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .linalg import solve_columns
+from .linalg import solve_columns, vec_add
 
 
 class AlgebraError(Exception):
@@ -83,12 +84,14 @@ def _as_fraction(value):
 
 @dataclass(frozen=True)
 class AlgebraDef:
-    """Plain definition data: basis size, parities, tensor, unit vector.
+    """Plain definition data: basis size, parities, structure constants, unit.
 
-    ``structconst`` is dense, ``structconst[i][j][k]`` being the
-    coefficient of ``e_k`` in ``e_i * e_j``.  Use :func:`validate_z2` to
-    obtain an operational handle; nothing here is checked on construction
-    beyond shapes.
+    ``structconst`` is sparse: ``(i, j, k, c)`` rows with ``c`` the nonzero
+    rational coefficient of ``e_k`` in ``e_i * e_j``.  Construction puts
+    any iterable of such rows into canonical form (repeated index triples
+    summed, zero coefficients dropped, sorted by ``(i, j, k)``), so equal
+    algebras compare equal.  Use :func:`validate_z2` to obtain an
+    operational handle; nothing here is checked beyond shapes and indices.
     """
 
     name: str
@@ -98,48 +101,33 @@ class AlgebraDef:
     unit: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
+        dim = self.dim
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        if len(self.parity) != self.dim or any(p not in (0, 1) for p in self.parity):
+        if len(self.parity) != dim or any(p not in (0, 1) for p in self.parity):
             raise ValueError("parity must list one bit per basis vector")
-        if len(self.structconst) != self.dim or any(
-            len(row) != self.dim or any(len(cell) != self.dim for cell in row)
-            for row in self.structconst
-        ):
-            raise ValueError("structure tensor shape must be dim x dim x dim")
-        if len(self.unit) != self.dim:
+        if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
-
-    @classmethod
-    def from_triples(cls, name, dim, parity, triples, unit):
-        """Build a dense definition from sparse ``(i, j, k, coefficient)`` rows."""
-        tensor = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in triples:
-            tensor[i][j][k] += _as_fraction(c)
-        return cls(
-            name=name,
-            dim=dim,
-            parity=tuple(parity),
-            structconst=tuple(
-                tuple(tuple(cell) for cell in row) for row in tensor
-            ),
-            unit=tuple(_as_fraction(c) for c in unit),
-        )
+        coeffs = {}
+        for i, j, k, c in self.structconst:
+            if not all(type(n) is int and 0 <= n < dim for n in (i, j, k)):
+                raise AlgebraFormatError(
+                    f"structure constant index ({i!r}, {j!r}, {k!r}) is not "
+                    f"an int triple in range({dim})"
+                )
+            coeffs[i, j, k] = coeffs.get((i, j, k), 0) + _as_fraction(c)
+        triples = tuple((*ijk, c) for ijk, c in sorted(coeffs.items()) if c)
+        object.__setattr__(self, "parity", tuple(self.parity))
+        object.__setattr__(self, "structconst", triples)
+        object.__setattr__(self, "unit", tuple(_as_fraction(c) for c in self.unit))
 
     def to_json_dict(self):
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.structconst[i][j][k]
-                    if c:
-                        triples.append([i, j, k, str(c)])
         return {
             "name": self.name,
             "dim": self.dim,
             "parity": list(self.parity),
             "unit": [str(c) for c in self.unit],
-            "structconst": triples,
+            "structconst": [[i, j, k, str(c)] for i, j, k, c in self.structconst],
         }
 
     def to_json(self):
@@ -155,13 +143,7 @@ class AlgebraDef:
             triples = data["structconst"]
             if not isinstance(name, str) or not isinstance(dim, int):
                 raise TypeError("bad name/dim")
-            return cls.from_triples(
-                name,
-                dim,
-                parity,
-                [(i, j, k, c) for i, j, k, c in triples],
-                unit,
-            )
+            return cls(name, dim, parity, triples, unit)
         except AlgebraFormatError:
             raise
         except Exception as exc:
@@ -202,13 +184,10 @@ class Z2Algebra:
         self.parity = defn.parity
         self.even_indices = tuple(i for i, p in enumerate(defn.parity) if p == 0)
         self.odd_indices = tuple(i for i, p in enumerate(defn.parity) if p == 1)
-        self._rows = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(cell) if c)
-                for cell in row
-            )
-            for row in defn.structconst
-        )
+        rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for i, j, k, c in defn.structconst:
+            rows[i][j].append((k, c))
+        self._rows = tuple(tuple(map(tuple, row)) for row in rows)
         self._check_grading()
         self.unit = Element(self, defn.unit, exact=True)
         self._check_unit()
@@ -218,18 +197,14 @@ class Z2Algebra:
     # -- validation -------------------------------------------------------
 
     def _check_grading(self):
+        # the triples are sorted, so the first violation in (i, j, k) order
+        # is the one reported
         parity = self.parity
-        for i in range(self.dim):
-            for j in range(self.dim):
-                row = self._rows[i][j]
-                if parity[i] == 1 and parity[j] == 1:
-                    if row:
-                        raise OddOddNonzero(i, j)
-                    continue
-                want = (parity[i] + parity[j]) % 2
-                for k, _ in row:
-                    if parity[k] != want:
-                        raise ParityViolation(i, j, k)
+        for i, j, k, _ in self.defn.structconst:
+            if parity[i] == 1 and parity[j] == 1:
+                raise OddOddNonzero(i, j)
+            if parity[k] != (parity[i] + parity[j]) % 2:
+                raise ParityViolation(i, j, k)
 
     def _check_unit(self):
         for i in self.odd_indices:
@@ -435,59 +410,14 @@ class Element:
         return f"Element({self.algebra.name}, [{body}])"
 
 
-def mul(a: Element, b: Element) -> Element:
-    """Bilinear product extending the structure constants."""
-    return a * b
-
-
-def even_part(a: Element) -> Element:
-    return a.even_part()
-
-
-def odd_part(a: Element) -> Element:
-    return a.odd_part()
-
-
-def invert(a: Element) -> Element:
-    return a.invert()
-
-
-def _basis_product(alg, i, j):
-    return {k: c for k, c in alg.mul_row(i, j)}
-
-
-def _mul_sparse(alg, vec, j=None, i=None):
-    # vec * e_j when j is given, e_i * vec when i is given
-    out = {}
-    if j is not None:
-        for l, c in vec.items():
-            for k, d in alg.mul_row(l, j):
-                s = out.get(k, 0) + c * d
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    else:
-        for l, c in vec.items():
-            for k, d in alg.mul_row(i, l):
-                s = out.get(k, 0) + c * d
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return out
-
-
 def _associator(alg, i, j, k):
-    left = _mul_sparse(alg, _basis_product(alg, i, j), j=k)
-    right = _mul_sparse(alg, _basis_product(alg, j, k), i=i)
-    out = dict(left)
-    for m, c in right.items():
-        s = out.get(m, 0) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+    """(e_i e_j) e_k - e_i (e_j e_k) as a sparse vector."""
+    rows = alg._rows
+    out = {}
+    for l, c in rows[i][j]:
+        out = vec_add(out, dict(rows[l][k]), c)
+    for l, c in rows[j][k]:
+        out = vec_add(out, dict(rows[i][l]), -c)
     return out
 
 
@@ -503,6 +433,13 @@ def is_associative(alg: Z2Algebra) -> bool:
     return alg._associative
 
 
+def _alternative_at(alg, i, j, k):
+    a = _associator(alg, i, j, k)
+    return not vec_add(a, _associator(alg, j, i, k)) and not vec_add(
+        a, _associator(alg, i, k, j)
+    )
+
+
 def is_alternative(alg: Z2Algebra) -> bool:
     """Check both alternative laws x(xy)=(xx)y and (yx)x=y(xx).
 
@@ -511,42 +448,13 @@ def is_alternative(alg: Z2Algebra) -> bool:
     characteristic zero and exhaustive at these dimensions.
     """
     if alg._alternative is None:
-        ok = True
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for k in range(alg.dim):
-                    left = vec_sum(_associator(alg, i, j, k), _associator(alg, j, i, k))
-                    if left:
-                        ok = False
-                        break
-                    right = vec_sum(_associator(alg, i, j, k), _associator(alg, i, k, j))
-                    if right:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        alg._alternative = ok
+        alg._alternative = all(
+            _alternative_at(alg, i, j, k)
+            for i in range(alg.dim)
+            for j in range(alg.dim)
+            for k in range(alg.dim)
+        )
     return alg._alternative
-
-
-def vec_sum(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def euclidean_norm_sq(coeffs):
-    total = Fraction(0)
-    for c in coeffs:
-        total += c * c
-    return total
 
 
 def part_norms_squared(a: Element):

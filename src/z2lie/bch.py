@@ -118,9 +118,6 @@ class Series:
     def is_zero(self):
         return not self.terms
 
-    def max_degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -221,13 +218,10 @@ class Series:
         )
 
     def degree_component(self, degree):
-        return Series(
-            self.truncation,
-            {w: c for w, c in self.terms.items() if len(w) == degree},
-        )
-
-    def degree_component_dict(self, degree):
-        return {w: c for w, c in self.terms.items() if len(w) == degree}
+        out = Series(self.truncation)
+        # a subset of clean terms is clean, so the constructor's filter is skipped
+        out.terms = {w: c for w, c in self.terms.items() if len(w) == degree}
+        return out
 
     def substitute_zero(self, *symbols):
         """Set whole generators to zero, e.g. substitute_zero("u", "w")."""
@@ -312,18 +306,6 @@ class Series:
         if acc is None:
             return scale(Fraction(0), one)
         return acc
-
-
-def series_mul(s: Series, t: Series) -> Series:
-    return s * t
-
-
-def series_exp(s: Series) -> Series:
-    return s.exp()
-
-
-def series_log(s: Series) -> Series:
-    return s.log()
 
 
 @lru_cache(maxsize=None)
@@ -536,10 +518,10 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
             if t.degree() == degree and t not in distinct:
                 distinct.append(t)
         columns = [
-            bracket_expand(t, truncation).degree_component_dict(degree)
+            bracket_expand(t, truncation).degree_component(degree).terms
             for t in distinct
         ]
-        target = computed.degree_component_dict(degree)
+        target = computed.degree_component(degree).terms
         solution = solve_columns(columns, target, sort_key=_word_key)
         entry = {
             "form": bracket_string(term),
@@ -653,11 +635,11 @@ def bracket_basis_fit(truncation: int):
     z = extended_bch(truncation)
     out = []
     for degree in range(1, truncation + 1):
-        target = z.degree_component_dict(degree)
+        target = z.degree_component(degree).terms
         terms = []
         columns = []
         for term in _lyndon_monomials(degree):
-            col = bracket_expand(term, truncation).degree_component_dict(degree)
+            col = bracket_expand(term, truncation).degree_component(degree).terms
             if col:
                 terms.append(term)
                 columns.append(col)

@@ -15,9 +15,9 @@ with nonzero entries there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, isfinite, log2
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class BlockMatElement:
         mat = np.array(mat, dtype=float)
         if mat.shape != (shape.n, shape.n):
             raise ValueError(f"matrix must be {shape.n} x {shape.n}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         if np.any(mat[shape.p :, : shape.p] != 0.0):
             raise ValueError("lower-left block must be exactly zero")
         self.shape = shape
@@ -414,6 +416,8 @@ def correspondence_roundtrip(
     """
     from .brackets import generate_subalgebra
 
+    if not all(isfinite(t) and t >= 0 for t in (tol, closure_tol)):
+        raise ValueError("tolerances must be finite and nonnegative")
     report = VerificationReport(
         subject=f"correspondence:p={shape.p},q={shape.q}"
     )
@@ -493,6 +497,16 @@ def block_matrix_units(p, q):
     return units
 
 
+def unit_matrices(shape: BlockShape, positions):
+    """Rational matrix units: a 1 at each ``(row, column)`` position."""
+    out = []
+    for r, c in positions:
+        mat = [[Fraction(0)] * shape.n for _ in range(shape.n)]
+        mat[r][c] = Fraction(1)
+        out.append(mat)
+    return out
+
+
 def block_matrix_algebra(p, q) -> Z2Algebra:
     """Exact structure-constant form of the block-triangular matrix algebra."""
     units = block_matrix_units(p, q)
@@ -507,11 +521,11 @@ def block_matrix_algebra(p, q) -> Z2Algebra:
     unit = [Fraction(0)] * len(units)
     for a in range(n):
         unit[index[(a, a)]] = Fraction(1)
-    defn = AlgebraDef.from_triples(
+    defn = AlgebraDef(
         name=f"blockmat({p},{q})",
         dim=len(units),
         parity=parity,
-        triples=triples,
+        structconst=triples,
         unit=unit,
     )
     return validate_z2(defn)

@@ -45,19 +45,6 @@ def square(x: Element, y: Element) -> Element:
     return x * y - y * x
 
 
-@dataclass(frozen=True)
-class BracketedAlgebra:
-    """An algebra together with its induced angle/square bracket pair."""
-
-    algebra: Z2Algebra
-
-    def angle(self, x, y):
-        return angle(x, y)
-
-    def square(self, x, y):
-        return square(x, y)
-
-
 def _leibniz(x, y, z):
     return angle(angle(x, y), z) - angle(x, angle(y, z)) - angle(angle(x, z), y)
 

@@ -28,7 +28,6 @@ from functools import lru_cache
 from .algebra import (
     AlgebraDef,
     AlgebraError,
-    Element,
     NotInvertible,
     Z2Algebra,
     graded_norm,
@@ -156,7 +155,7 @@ def _signed(entry):
 
 
 def octonion_type_def(twist: int) -> AlgebraDef:
-    """Dense definition of the 16-dimensional octonion-type algebra."""
+    """Definition of the 16-dimensional octonion-type algebra."""
     if twist not in (1, -1):
         raise IllegalName(f"twist must be +1 or -1, got {twist}")
     triples = []
@@ -175,11 +174,11 @@ def octonion_type_def(twist: int) -> AlgebraDef:
             triples.append((8 + i, j, 8 + k, coeff))
     unit = [Fraction(0)] * 16
     unit[0] = Fraction(1)
-    return AlgebraDef.from_triples(
+    return AlgebraDef(
         name="O2" if twist == 1 else "O-2",
         dim=16,
         parity=(0,) * 8 + (1,) * 8,
-        triples=triples,
+        structconst=triples,
         unit=unit,
     )
 
@@ -193,11 +192,11 @@ def _table_def(name, table, parity=None):
             triples.append((i, j, k, sign))
     unit = [Fraction(0)] * dim
     unit[0] = Fraction(1)
-    return AlgebraDef.from_triples(
+    return AlgebraDef(
         name=name,
         dim=dim,
         parity=parity if parity is not None else (0,) * dim,
-        triples=triples,
+        structconst=triples,
         unit=unit,
     )
 
@@ -231,11 +230,11 @@ def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algeb
     for k, c in enumerate(alg.unit.coeffs):
         if c and k not in pos:
             raise NotClosed(0, 0, k)
-    defn = AlgebraDef.from_triples(
+    defn = AlgebraDef(
         name=name or f"{alg.name}|{len(keep)}",
         dim=len(keep),
         parity=tuple(alg.parity[i] for i in keep),
-        triples=triples,
+        structconst=triples,
         unit=tuple(alg.unit.coeffs[i] for i in keep),
     )
     return validate_z2(defn)
@@ -265,24 +264,6 @@ def catalog_algebra(name: str) -> Z2Algebra:
     if name in ("C2", "C-2"):
         return subalgebra_restrict(parent, [0, 4], [8, 12], name=name)
     return subalgebra_restrict(parent, [0, 1, 4, 5], [8, 9, 12, 13], name=name)
-
-
-def norm(a: Element) -> float:
-    """Catalog norm: Euclidean even-part norm plus Euclidean odd-part norm."""
-    return graded_norm(a)
-
-
-class NormedElement:
-    """An element paired with its norm value (zero exactly for zero)."""
-
-    __slots__ = ("element", "norm_value")
-
-    def __init__(self, element: Element):
-        self.element = element
-        self.norm_value = norm(element)
-
-    def __repr__(self):
-        return f"NormedElement({self.element!r}, norm={self.norm_value})"
 
 
 def expected_properties(name: str) -> dict:
@@ -340,7 +321,7 @@ def composition_check(alg: Z2Algebra, trials=1000, seed=0, tol=1e-12) -> Verific
             odd_even.record_failure(element_witness(("y1", y1), ("x0", x0)))
 
         submult.record_trial()
-        if norm(x * y) > norm(x) * norm(y) + tol:
+        if graded_norm(x * y) > graded_norm(x) * graded_norm(y) + tol:
             submult.record_failure(element_witness(("x", x), ("y", y)))
     return report
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .algebra import (
-    AlgebraDef,
     AlgebraError,
     AlgebraFormatError,
     Element,
@@ -43,6 +43,7 @@ from .blockmodel import (
     BlockShape,
     block_matrix_units,
     correspondence_roundtrip,
+    unit_matrices,
 )
 from .brackets import verify_identities
 from .catalog import (
@@ -175,18 +176,12 @@ def cmd_bch(args):
     return 0
 
 
-def _unit_matrices(shape, positions):
-    out = []
-    for r, c in positions:
-        mat = [[Fraction(0)] * shape.n for _ in range(shape.n)]
-        mat[r][c] = Fraction(1)
-        out.append(mat)
-    return out
-
-
 def cmd_correspond(args):
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        print("error: --tol must be a finite nonnegative number", file=sys.stderr)
         return 2
     try:
         p_str, q_str = args.shape.split(",")
@@ -198,8 +193,8 @@ def cmd_correspond(args):
     even_units = [rc for rc in units if (rc[0] < shape.p) == (rc[1] < shape.p)]
     suites = {
         "trivial": [],
-        "even": _unit_matrices(shape, even_units),
-        "full": _unit_matrices(shape, units),
+        "even": unit_matrices(shape, even_units),
+        "full": unit_matrices(shape, units),
     }
     doc = {"shape": [shape.p, shape.q], "suites": {}}
     passed = True

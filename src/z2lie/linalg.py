@@ -13,13 +13,6 @@ from bisect import insort
 from fractions import Fraction
 
 
-def vec_scale(vec, scale):
-    scale = Fraction(scale)
-    if not scale:
-        return {}
-    return {k: scale * v for k, v in vec.items()}
-
-
 def vec_add(a, b, scale=1):
     """a + scale*b with exact zeros dropped."""
     scale = Fraction(scale)
@@ -47,9 +40,6 @@ class FractionSpan:
         self._combos: dict = {}  # pivot key -> {insertion index: Fraction}
         self._track = track
         self._n_inserted = 0
-
-    def __len__(self):
-        return len(self._rows)
 
     @property
     def dim(self):

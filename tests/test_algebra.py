@@ -28,7 +28,7 @@ from z2lie.catalog import catalog_algebra
 
 def dual_numbers_def():
     # basis {1, eps}, eps odd, eps^2 = 0
-    return AlgebraDef.from_triples(
+    return AlgebraDef(
         "dual",
         2,
         (0, 1),
@@ -51,7 +51,7 @@ def test_validate_octonion_type_table():
 
 
 def test_odd_odd_nonzero_rejected():
-    defn = AlgebraDef.from_triples(
+    defn = AlgebraDef(
         "bad",
         2,
         (0, 1),
@@ -65,7 +65,7 @@ def test_odd_odd_nonzero_rejected():
 
 def test_parity_violation_rejected():
     # even * odd landing on an even vector
-    defn = AlgebraDef.from_triples(
+    defn = AlgebraDef(
         "bad",
         2,
         (0, 1),
@@ -78,7 +78,7 @@ def test_parity_violation_rejected():
 
 
 def test_no_unit_rejected():
-    defn = AlgebraDef.from_triples(
+    defn = AlgebraDef(
         "bad",
         2,
         (0, 1),
@@ -90,7 +90,7 @@ def test_no_unit_rejected():
 
 
 def test_non_even_unit_rejected():
-    defn = AlgebraDef.from_triples(
+    defn = AlgebraDef(
         "bad",
         2,
         (0, 1),
@@ -207,6 +207,45 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "h-2.json"
     save_algebra(defn, path)
     assert load_algebra(path) == defn
+
+
+_coefficients = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(-2, 2, max_denominator=3),
+    st.fractions(-2, 2, max_denominator=3).map(str),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.lists(
+                st.tuples(*[st.integers(0, dim - 1)] * 3, _coefficients), max_size=20
+            ),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_triples_canonicalize_and_roundtrip(dim_triples, rnd):
+    # duplicates, explicit zeros and any order all land on one canonical form
+    dim, triples = dim_triples
+    unit = [1] + [0] * (dim - 1)
+    defn = AlgebraDef("t", dim, [0] * dim, triples, unit)
+    summed = {}
+    for i, j, k, c in triples:
+        summed[i, j, k] = summed.get((i, j, k), 0) + Fraction(c)
+    assert defn.structconst == tuple(
+        (*ijk, c) for ijk, c in sorted(summed.items()) if c
+    )
+    shuffled = list(triples)
+    rnd.shuffle(shuffled)
+    assert AlgebraDef("t", dim, [0] * dim, shuffled, unit) == defn
+    text = defn.to_json()
+    back = AlgebraDef.from_json(text)
+    assert back == defn
+    assert back.to_json() == text
 
 
 def test_json_malformed():

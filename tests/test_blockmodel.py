@@ -28,6 +28,7 @@ from z2lie.blockmodel import (
     sample_xi_group,
     tangent_basis,
     trivial_sample,
+    unit_matrices,
     xi_closure_check,
 )
 
@@ -35,19 +36,18 @@ SHAPE22 = BlockShape(2, 2)
 SHAPE11 = BlockShape(1, 1)
 
 
-def unit_matrices(shape, positions):
-    out = []
-    for r, c in positions:
-        m = [[Fraction(0)] * shape.n for _ in range(shape.n)]
-        m[r][c] = Fraction(1)
-        out.append(m)
-    return out
-
-
 def test_lower_left_block_rejected():
     bad = np.zeros((4, 4))
     bad[3, 0] = 1e-30
     with pytest.raises(ValueError):
+        BlockMatElement(SHAPE22, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(value):
+    bad = np.eye(4)
+    bad[0, 3] = value
+    with pytest.raises(ValueError, match="finite"):
         BlockMatElement(SHAPE22, bad)
 
 
@@ -229,6 +229,15 @@ def test_correspondence_trivial_group():
     report = correspondence_roundtrip([], SHAPE11, budget=10, seed=0)
     assert report.passed
     assert report.find("tangent_span_matches").passed
+
+
+@pytest.mark.parametrize(
+    "tols", [{"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}, {"closure_tol": np.nan}]
+)
+def test_correspondence_rejects_bad_tolerances(tols):
+    mats = unit_matrices(SHAPE11, [(0, 0)])
+    with pytest.raises(ValueError, match="tolerances"):
+        correspondence_roundtrip(mats, SHAPE11, budget=10, seed=0, **tols)
 
 
 def test_correspondence_single_even_generator():

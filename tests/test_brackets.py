@@ -6,7 +6,6 @@ import pytest
 from z2lie.algebra import Element, random_element
 from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
 from z2lie.brackets import (
-    BracketedAlgebra,
     angle,
     generate_subalgebra,
     square,
@@ -73,14 +72,6 @@ def test_angle_equals_square_for_even_second_argument():
         x = random_element(alg, rng)
         y = random_element(alg, rng).even_part()
         assert angle(x, y) == square(x, y)
-
-
-def test_bracketed_algebra_wrapper():
-    alg = catalog_algebra("C2")
-    br = BracketedAlgebra(alg)
-    x, y = alg.basis(1), alg.basis(2)
-    assert br.angle(x, y) == angle(x, y)
-    assert br.square(x, y) == square(x, y)
 
 
 def test_identities_hold_on_associative_catalog():
