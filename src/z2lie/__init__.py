@@ -17,7 +17,6 @@ from .algebra import (
     NotInvertible,
     OddOddNonzero,
     ParityViolation,
-    ScalarKindMismatch,
     Z2Algebra,
     graded_norm,
     is_alternative,
@@ -62,7 +61,6 @@ from .brackets import (
 )
 from .catalog import (
     CATALOG_NAMES,
-    CatalogName,
     IllegalName,
     NotClosed,
     catalog_algebra,

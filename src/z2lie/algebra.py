@@ -14,9 +14,7 @@ and the identity element is required to be purely even.  Violations are
 reported index by index rather than as a bare boolean, since the point of
 this module is machine verification.
 
-All identity checking runs over ``fractions.Fraction``; elements may also
-carry double-precision coefficients for numeric experiments, but the two
-scalar kinds never mix inside one operation.
+All arithmetic is exact over ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -60,16 +58,16 @@ class AlgebraMismatch(AlgebraError):
     pass
 
 
-class ScalarKindMismatch(AlgebraError):
-    pass
-
-
 class NotInvertible(AlgebraError):
     pass
 
 
 class AlgebraFormatError(AlgebraError):
     """Raised when a definition file cannot be parsed."""
+
+
+# Z2Algebra allocates dim^2 multiplication rows; larger definitions are refused
+MAX_DIM = 64
 
 
 def _as_fraction(value):
@@ -102,8 +100,8 @@ class AlgebraDef:
 
     def __post_init__(self):
         dim = self.dim
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be in 1..{MAX_DIM}")
         if len(self.parity) != dim or any(p not in (0, 1) for p in self.parity):
             raise ValueError("parity must list one bit per basis vector")
         if len(self.unit) != dim:
@@ -189,10 +187,8 @@ class Z2Algebra:
             rows[i][j].append((k, c))
         self._rows = tuple(tuple(map(tuple, row)) for row in rows)
         self._check_grading()
-        self.unit = Element(self, defn.unit, exact=True)
+        self.unit = Element(self, defn.unit)
         self._check_unit()
-        self._associative = None
-        self._alternative = None
 
     # -- validation -------------------------------------------------------
 
@@ -217,18 +213,13 @@ class Z2Algebra:
 
     # -- constructors -----------------------------------------------------
 
-    def element(self, coeffs, exact=None):
-        return Element(self, coeffs, exact=exact)
-
     def basis(self, i):
         coeffs = [Fraction(0)] * self.dim
         coeffs[i] = Fraction(1)
-        return Element(self, coeffs, exact=True)
+        return Element(self, coeffs)
 
-    def zero(self, exact=True):
-        if exact:
-            return Element(self, [Fraction(0)] * self.dim, exact=True)
-        return Element(self, [0.0] * self.dim, exact=False)
+    def zero(self):
+        return Element(self, [Fraction(0)] * self.dim)
 
     # -- structure queries --------------------------------------------------
 
@@ -250,23 +241,16 @@ def validate_z2(defn: AlgebraDef) -> Z2Algebra:
 
 
 class Element:
-    """Coefficient vector over an algebra basis, exact or double precision."""
+    """Exact rational coefficient vector over an algebra basis."""
 
-    __slots__ = ("algebra", "coeffs", "exact")
+    __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra, coeffs, exact=None):
-        coeffs = list(coeffs)
+    def __init__(self, algebra, coeffs):
+        coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != algebra.dim:
             raise ValueError("coefficient vector length must equal dim")
-        if exact is None:
-            exact = not any(isinstance(c, float) for c in coeffs)
-        if exact:
-            coeffs = [_as_fraction(c) for c in coeffs]
-        else:
-            coeffs = [float(c) for c in coeffs]
         self.algebra = algebra
         self.coeffs = tuple(coeffs)
-        self.exact = exact
 
     # -- helpers ----------------------------------------------------------
 
@@ -277,43 +261,27 @@ class Element:
             raise AlgebraMismatch(
                 f"elements of {self.algebra.name} and {other.algebra.name}"
             )
-        if other.exact != self.exact:
-            raise ScalarKindMismatch("cannot mix exact and numeric coefficients")
-
-    def _zero_scalar(self):
-        return Fraction(0) if self.exact else 0.0
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
         self._compatible(other)
         return Element(
-            self.algebra,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            exact=self.exact,
+            self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __sub__(self, other):
         self._compatible(other)
         return Element(
-            self.algebra,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            exact=self.exact,
+            self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coeffs], exact=self.exact)
+        return Element(self.algebra, [-a for a in self.coeffs])
 
     def scale(self, scalar):
-        if self.exact:
-            if isinstance(scalar, float):
-                raise ScalarKindMismatch("float scalar on an exact element")
-            scalar = _as_fraction(scalar)
-        else:
-            scalar = float(scalar)
-        return Element(
-            self.algebra, [scalar * a for a in self.coeffs], exact=self.exact
-        )
+        scalar = _as_fraction(scalar)
+        return Element(self.algebra, [scalar * a for a in self.coeffs])
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -325,7 +293,7 @@ class Element:
             return self.scale(other)
         self._compatible(other)
         alg = self.algebra
-        out = [self._zero_scalar()] * alg.dim
+        out = [Fraction(0)] * alg.dim
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -336,23 +304,23 @@ class Element:
                 ab = a * b
                 for k, c in rows_i[j]:
                     out[k] += ab * c
-        return Element(alg, out, exact=self.exact)
+        return Element(alg, out)
 
     # -- grading ------------------------------------------------------------
 
     def even_part(self):
         coeffs = [
-            c if self.algebra.parity[i] == 0 else self._zero_scalar()
+            c if self.algebra.parity[i] == 0 else Fraction(0)
             for i, c in enumerate(self.coeffs)
         ]
-        return Element(self.algebra, coeffs, exact=self.exact)
+        return Element(self.algebra, coeffs)
 
     def odd_part(self):
         coeffs = [
-            c if self.algebra.parity[i] == 1 else self._zero_scalar()
+            c if self.algebra.parity[i] == 1 else Fraction(0)
             for i, c in enumerate(self.coeffs)
         ]
-        return Element(self.algebra, coeffs, exact=self.exact)
+        return Element(self.algebra, coeffs)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -366,8 +334,6 @@ class Element:
         and then checks ``y * self = unit`` as well; the right-hand check
         is not redundant because non-associative algebras are admitted.
         """
-        if not self.exact:
-            raise ValueError("inversion requires exact coefficients")
         alg = self.algebra
         columns = []
         for j in range(alg.dim):
@@ -386,7 +352,7 @@ class Element:
         solution = solve_columns(columns, target)
         if solution is None:
             raise NotInvertible("left-multiplication system is singular")
-        candidate = Element(alg, solution, exact=True)
+        candidate = Element(alg, solution)
         if candidate * self != alg.unit:
             raise NotInvertible("left inverse fails the right product check")
         return candidate
@@ -396,14 +362,10 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.exact == other.exact
-            and self.coeffs == other.coeffs
-        )
+        return self.algebra is other.algebra and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.algebra), self.exact, self.coeffs))
+        return hash((id(self.algebra), self.coeffs))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
@@ -423,14 +385,12 @@ def _associator(alg, i, j, k):
 
 def is_associative(alg: Z2Algebra) -> bool:
     """Brute-force associativity over all dim^3 basis triples (no sampling)."""
-    if alg._associative is None:
-        alg._associative = all(
-            not _associator(alg, i, j, k)
-            for i in range(alg.dim)
-            for j in range(alg.dim)
-            for k in range(alg.dim)
-        )
-    return alg._associative
+    return all(
+        not _associator(alg, i, j, k)
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for k in range(alg.dim)
+    )
 
 
 def _alternative_at(alg, i, j, k):
@@ -447,20 +407,16 @@ def is_alternative(alg: Z2Algebra) -> bool:
     bilinear polarization over all basis triples, which is equivalent in
     characteristic zero and exhaustive at these dimensions.
     """
-    if alg._alternative is None:
-        alg._alternative = all(
-            _alternative_at(alg, i, j, k)
-            for i in range(alg.dim)
-            for j in range(alg.dim)
-            for k in range(alg.dim)
-        )
-    return alg._alternative
+    return all(
+        _alternative_at(alg, i, j, k)
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for k in range(alg.dim)
+    )
 
 
 def part_norms_squared(a: Element):
     """Exact squared Euclidean norms of the even and odd components."""
-    if not a.exact:
-        raise ValueError("exact norms require exact coefficients")
     even = Fraction(0)
     odd = Fraction(0)
     for i, c in enumerate(a.coeffs):
@@ -494,9 +450,7 @@ def random_rational(rng, max_num=3, denominators=(1, 2, 3)):
 def random_element(alg, rng, max_num=3, denominators=(1, 2, 3)):
     """Dense random exact element with small numerators and denominators."""
     return Element(
-        alg,
-        [random_rational(rng, max_num, denominators) for _ in range(alg.dim)],
-        exact=True,
+        alg, [random_rational(rng, max_num, denominators) for _ in range(alg.dim)]
     )
 
 
@@ -515,6 +469,6 @@ def random_pure_odd_element(alg, rng, **kw):
         coeffs = [Fraction(0)] * alg.dim
         for i in alg.odd_indices:
             coeffs[i] = random_rational(rng, **kw)
-        a = Element(alg, coeffs, exact=True)
+        a = Element(alg, coeffs)
         if not a.is_zero():
             return a

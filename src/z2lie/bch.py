@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import factorial
 
 from .linalg import solve_columns
 
@@ -240,32 +241,27 @@ class Series:
 
     # -- exp / log / inverse ------------------------------------------------------
 
-    def exp(self):
-        if self.constant:
-            raise BadConstantTerm("exp requires zero constant term")
-        result = Series.one(self.truncation)
+    def _power_series(self, coeff):
+        """Sum of ``coeff(n) * self**n`` over n, up to the first zero power."""
+        result = Series.one(self.truncation).scale(coeff(0))
         power = Series.one(self.truncation)
-        factorial = 1
         for n in range(1, self.truncation + 1):
             power = power * self
             if power.is_zero():
                 break
-            factorial *= n
-            result = result + power.scale(Fraction(1, factorial))
+            result = result + power.scale(coeff(n))
         return result
+
+    def exp(self):
+        if self.constant:
+            raise BadConstantTerm("exp requires zero constant term")
+        return self._power_series(lambda n: Fraction(1, factorial(n)))
 
     def log(self):
         if self.constant != 1:
             raise BadConstantTerm("log requires constant term 1")
         t = self - Series.one(self.truncation)
-        result = Series.zero(self.truncation)
-        power = Series.one(self.truncation)
-        for n in range(1, self.truncation + 1):
-            power = power * t
-            if power.is_zero():
-                break
-            result = result + power.scale(Fraction((-1) ** (n + 1), n))
-        return result
+        return t._power_series(lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
 
     def inverse(self):
         """Multiplicative inverse via the formal geometric series."""
@@ -273,14 +269,7 @@ class Series:
         if not c:
             raise BadConstantTerm("inverse requires nonzero constant term")
         f = self.scale(Fraction(1) / c) - Series.one(self.truncation)
-        result = Series.one(self.truncation)
-        power = Series.one(self.truncation)
-        for n in range(1, self.truncation + 1):
-            power = power * f
-            if power.is_zero():
-                break
-            result = result + power.scale(Fraction((-1) ** n))
-        return result.scale(Fraction(1) / c)
+        return f._power_series(lambda n: (-1) ** n).scale(Fraction(1) / c)
 
     # -- evaluation ------------------------------------------------------------
 

@@ -26,6 +26,8 @@ from .report import VerificationReport
 
 EXP_SERIES_TOL = 1e-14
 DEFAULT_SPAN_TOL = 1e-8
+# the exact shadow has dim p^2 + q^2 + pq and is built from all unit pairs
+MAX_BLOCK_SIZE = 8
 
 
 class LogOutOfDomain(Exception):
@@ -40,6 +42,8 @@ class BlockShape:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError("block dimensions must be positive")
+        if self.p + self.q > MAX_BLOCK_SIZE:
+            raise ValueError(f"p + q must be at most {MAX_BLOCK_SIZE}")
 
     @property
     def n(self):
@@ -544,7 +548,7 @@ def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
             if (r, c) not in index:
                 raise ValueError(f"entry ({r},{c}) lies in the forbidden block")
             coeffs[index[(r, c)]] = value
-    return Element(alg, coeffs, exact=True)
+    return Element(alg, coeffs)
 
 
 def element_to_matrix(el: Element, shape: BlockShape):

@@ -21,7 +21,6 @@ submultiplicativity is checked numerically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,35 +65,6 @@ _LEGAL = {
     "O2": ("O", 1),
     "O-2": ("O", -1),
 }
-
-
-@dataclass(frozen=True)
-class CatalogName:
-    """Validated catalog key: base algebra plus optional twist sign."""
-
-    base: str
-    twist: int | None
-
-    def __post_init__(self):
-        if (self.base, self.twist) not in _LEGAL.values():
-            raise IllegalName(f"no catalog algebra for ({self.base}, {self.twist})")
-
-    def __str__(self):
-        if self.twist is None:
-            return self.base
-        if self.base == "R":
-            return "R2"
-        return f"{self.base}2" if self.twist == 1 else f"{self.base}-2"
-
-    @classmethod
-    def from_string(cls, name):
-        try:
-            base, twist = _LEGAL[name]
-        except KeyError:
-            raise IllegalName(
-                f"unknown algebra {name!r}; expected one of {', '.join(CATALOG_NAMES)}"
-            ) from None
-        return cls(base, twist)
 
 
 # Multiplication tables for the 16-dimensional octonion-type algebras.
@@ -243,8 +213,6 @@ def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algeb
 @lru_cache(maxsize=None)
 def catalog_algebra(name: str) -> Z2Algebra:
     """Construct and validate one of the ten catalog algebras by name."""
-    if isinstance(name, CatalogName):
-        name = str(name)
     if name not in _LEGAL:
         raise IllegalName(
             f"unknown algebra {name!r}; expected one of {', '.join(CATALOG_NAMES)}"

@@ -92,7 +92,7 @@ def cmd_verify(args):
         return 2
     try:
         alg, catalog_name = _load_any_algebra(args.algebra)
-    except (AlgebraFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except AlgebraFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:
@@ -216,12 +216,12 @@ def cmd_correspond(args):
 def cmd_invert(args):
     try:
         alg, _ = _load_any_algebra(args.algebra)
-    except (AlgebraFormatError, FileNotFoundError, IsADirectoryError, AlgebraError) as exc:
+    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         coeffs = [Fraction(part.strip()) for part in args.element.split(",")]
-        element = Element(alg, coeffs, exact=True)
+        element = Element(alg, coeffs)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad --element: {exc}", file=sys.stderr)
         return 2
@@ -292,7 +292,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unreadable input or unwritable -o is a usage error, not a failed property
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+MAX_WITNESSES = 5
+
 
 @dataclass
 class CheckResult:
@@ -19,7 +21,6 @@ class CheckResult:
     failure_count: int = 0
     failures: list = field(default_factory=list)
     note: str = ""
-    max_witnesses: int = 5
 
     @property
     def passed(self):
@@ -30,7 +31,7 @@ class CheckResult:
 
     def record_failure(self, witness):
         self.failure_count += 1
-        if len(self.failures) < self.max_witnesses:
+        if len(self.failures) < MAX_WITNESSES:
             self.failures.append(witness)
 
     def to_json_dict(self):
@@ -55,8 +56,8 @@ class VerificationReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def check(self, name, note="", max_witnesses=5):
-        result = CheckResult(name=name, note=note, max_witnesses=max_witnesses)
+    def check(self, name, note=""):
+        result = CheckResult(name=name, note=note)
         self.checks.append(result)
         return result
 

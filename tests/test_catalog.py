@@ -6,7 +6,6 @@ import pytest
 from z2lie.algebra import graded_norm, is_alternative, is_associative, random_element
 from z2lie.catalog import (
     CATALOG_NAMES,
-    CatalogName,
     IllegalName,
     NotClosed,
     catalog_algebra,
@@ -42,15 +41,6 @@ def test_illegal_names():
     for bad in ("Q", "R-2", "O", "C+2", ""):
         with pytest.raises(IllegalName):
             catalog_algebra(bad)
-    with pytest.raises(IllegalName):
-        CatalogName("O", None)
-    with pytest.raises(IllegalName):
-        CatalogName("R", -1)
-
-
-def test_catalog_name_roundtrip():
-    for name in CATALOG_NAMES:
-        assert str(CatalogName.from_string(name)) == name
 
 
 def test_octonion_table_spot_checks():

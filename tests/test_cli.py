@@ -109,6 +109,26 @@ def test_bad_definition_index_is_input_error(tmp_path, capsys, triple):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_definition_above_dim_limit_is_input_error(tmp_path, capsys):
+    # a valid diagonal algebra, refused only for its size
+    dim = 65
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "big",
+                "dim": dim,
+                "parity": [0] * dim,
+                "unit": ["1"] * dim,
+                "structconst": [[i, i, i, "1"] for i in range(dim)],
+            }
+        )
+    )
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_invalid_structure_exits_one(tmp_path):
     bad = tmp_path / "oddodd.json"
     bad.write_text(
@@ -181,8 +201,11 @@ def test_correspond_small_shape(tmp_path):
     assert set(doc["suites"]) == {"trivial", "even", "full"}
 
 
-def test_correspond_bad_shape():
+def test_correspond_bad_shape(capsys):
     assert main(["correspond", "--shape", "nope"]) == 2
+    # p + q is bounded before the dim^2 shadow algebra is built
+    assert main(["correspond", "--shape", "5,4"]) == 2
+    assert capsys.readouterr().err.count("\n") == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
@@ -214,6 +237,17 @@ def test_invert_pure_odd(tmp_path):
 def test_invert_bad_element():
     assert main(["invert", "R2", "--element", "1,nope"]) == 2
     assert main(["invert", "R2", "--element", "1,2,3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "R"], ["invert", "R2", "--element", "2,3"]], ids=" ".join
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
@@ -266,3 +300,15 @@ def test_report_bytes_match_golden_digest(tmp_path, argv):
     out = tmp_path / "report"
     main([*argv, "-o", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+def test_definition_file_report_matches_golden_digest(tmp_path):
+    # the ad-hoc branch of verify: no catalog claims, only the bracket check
+    defn = tmp_path / "f.json"
+    assert main(["catalog", "H-2", "-o", str(defn)]) == 0
+    out = tmp_path / "report"
+    assert main(["verify", str(defn), "--trials", "20", "-o", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "d2cb5e7ae8387d6ae2bce725b89bddbc04548cc7d1e00c8f1e781f733e034a70"
+    )
