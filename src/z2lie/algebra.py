@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .linalg import solve_columns, vec_add
+from .linalg import solve_columns, sparse, vec_add
 
 
 class AlgebraError(Exception):
@@ -73,9 +73,8 @@ MAX_DIM = 64
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    # bool is an int subclass, but True is not the rational 1 in a definition
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -100,9 +99,11 @@ class AlgebraDef:
 
     def __post_init__(self):
         dim = self.dim
-        if not 1 <= dim <= MAX_DIM:
-            raise ValueError(f"dim must be in 1..{MAX_DIM}")
-        if len(self.parity) != dim or any(p not in (0, 1) for p in self.parity):
+        if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be an int in 1..{MAX_DIM}")
+        if len(self.parity) != dim or any(
+            type(p) is not int or p not in (0, 1) for p in self.parity
+        ):
             raise ValueError("parity must list one bit per basis vector")
         if len(self.unit) != dim:
             raise ValueError("unit vector length must equal dim")
@@ -139,8 +140,8 @@ class AlgebraDef:
             parity = data["parity"]
             unit = data["unit"]
             triples = data["structconst"]
-            if not isinstance(name, str) or not isinstance(dim, int):
-                raise TypeError("bad name/dim")
+            if not isinstance(name, str):
+                raise TypeError("name must be a string")
             return cls(name, dim, parity, triples, unit)
         except AlgebraFormatError:
             raise
@@ -348,8 +349,7 @@ class Element:
                     else:
                         col.pop(k, None)
             columns.append(col)
-        target = {k: c for k, c in enumerate(alg.unit.coeffs) if c}
-        solution = solve_columns(columns, target)
+        solution = solve_columns(columns, sparse(alg.unit.coeffs))
         if solution is None:
             raise NotInvertible("left-multiplication system is singular")
         candidate = Element(alg, solution)
@@ -433,13 +433,7 @@ def graded_norm(a: Element) -> float:
     The two parts are combined additively so that norm multiplicativity on
     even*even and even*odd products can be checked exactly in squared form.
     """
-    even = 0.0
-    odd = 0.0
-    for i, c in enumerate(a.coeffs):
-        if a.algebra.parity[i] == 0:
-            even += float(c) * float(c)
-        else:
-            odd += float(c) * float(c)
+    even, odd = part_norms_squared(a)
     return sqrt(even) + sqrt(odd)
 
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 
+from .brackets import angle, square
 from .linalg import solve_columns
 
 
@@ -87,10 +88,6 @@ class Series:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation):
-        return cls(truncation)
-
-    @classmethod
     def one(cls, truncation):
         return cls(truncation, {(): Fraction(1)})
 
@@ -123,9 +120,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return self.truncation == other.truncation and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.truncation, frozenset(self.terms.items())))
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
@@ -273,7 +267,7 @@ class Series:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, env, *, one, mul=operator.mul, add=operator.add, scale=None):
+    def evaluate(self, env, *, one, mul=operator.mul, scale=None):
         """Substitute concrete values for the generators.
 
         ``env`` maps generator names ("x0", ...) to values; ``one`` is the
@@ -291,7 +285,7 @@ class Series:
             else:
                 value = one
             term = scale(coeff, value)
-            acc = term if acc is None else add(acc, term)
+            acc = term if acc is None else acc + term
         if acc is None:
             return scale(Fraction(0), one)
         return acc
@@ -373,24 +367,30 @@ def bracket_string(term: BracketTerm, angle_pair="<>") -> str:
 def bracket_expand(term: BracketTerm, truncation: int) -> Series:
     """Expand a bracket expression into word coordinates.
 
-    Angle nodes expand as S*even(T) - even(T)*S and square nodes as
-    S*T - T*S; a generator leaf is the sum of its even and odd letters.
+    Angle and square nodes apply :func:`brackets.angle` and
+    :func:`brackets.square` to the expanded operands; a generator leaf is
+    the sum of its even and odd letters.
     """
     if term.op == "gen":
         return Series.full_generator(term.name, truncation)
-    left = bracket_expand(term.left, truncation)
-    right = bracket_expand(term.right, truncation)
-    if term.op == "angle":
-        r0 = right.even_part()
-        return left * r0 - r0 * left
-    return left * right - right * left
+    bracket = angle if term.op == "angle" else square
+    return bracket(
+        bracket_expand(term.left, truncation), bracket_expand(term.right, truncation)
+    )
 
 
-def expand_weighted(weighted_terms, truncation: int) -> Series:
-    out = Series.zero(truncation)
-    for coeff, term in weighted_terms:
-        out = out + bracket_expand(term, truncation).scale(coeff)
-    return out
+def _fit_degree(terms, series, degree):
+    """Exact coefficients of ``terms`` matching one degree component of ``series``.
+
+    Returns one coefficient per term, or None when the component lies
+    outside the span of the expanded terms.
+    """
+    columns = [
+        bracket_expand(term, series.truncation).degree_component(degree).terms
+        for term in terms
+    ]
+    target = series.degree_component(degree).terms
+    return solve_columns(columns, target, sort_key=_word_key)
 
 
 def printed_series_terms():
@@ -470,7 +470,10 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
         for coeff, term in printed_series_terms()
         if term.degree() <= truncation
     ]
-    literal = expand_weighted(listing, truncation)
+    literal = sum(
+        (bracket_expand(term, truncation).scale(coeff) for coeff, term in listing),
+        start=Series(truncation),
+    )
     computed = extended_bch(truncation)
 
     words = sorted(set(literal.terms) | set(computed.terms), key=_word_key)
@@ -506,12 +509,7 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
         for _, t in listing:
             if t.degree() == degree and t not in distinct:
                 distinct.append(t)
-        columns = [
-            bracket_expand(t, truncation).degree_component(degree).terms
-            for t in distinct
-        ]
-        target = computed.degree_component(degree).terms
-        solution = solve_columns(columns, target, sort_key=_word_key)
+        solution = _fit_degree(distinct, computed, degree)
         entry = {
             "form": bracket_string(term),
             "degree": degree,
@@ -624,22 +622,13 @@ def bracket_basis_fit(truncation: int):
     z = extended_bch(truncation)
     out = []
     for degree in range(1, truncation + 1):
-        target = z.degree_component(degree).terms
-        terms = []
-        columns = []
-        for term in _lyndon_monomials(degree):
-            col = bracket_expand(term, truncation).degree_component(degree).terms
-            if col:
-                terms.append(term)
-                columns.append(col)
-        solution = solve_columns(columns, target, sort_key=_word_key)
+        terms = _lyndon_monomials(degree)
+        solution = _fit_degree(terms, z, degree)
         if solution is None:
             raise InconsistentSystem(
                 f"degree {degree} component is outside the bracket span"
             )
-        out.extend(
-            (terms[i], coeff) for i, coeff in enumerate(solution) if coeff
-        )
+        out.extend((term, coeff) for term, coeff in zip(terms, solution) if coeff)
     return out
 
 

@@ -26,6 +26,12 @@ from .report import VerificationReport
 
 EXP_SERIES_TOL = 1e-14
 DEFAULT_SPAN_TOL = 1e-8
+LOG_MAX_TERMS = 600
+# xi-group sampling: scale of the random exponents, the bound on the norm of
+# (sample - identity) that keeps logs in domain, and the norm bound on samples
+SAMPLE_STEP = 0.12
+SAMPLE_LOG_MARGIN = 0.6
+SAMPLE_NORM_BOUND = 3.0
 # the exact shadow has dim p^2 + q^2 + pq and is built from all unit pairs
 MAX_BLOCK_SIZE = 8
 
@@ -145,7 +151,7 @@ def mat_exp(a: BlockMatElement) -> BlockMatElement:
     return BlockMatElement(a.shape, acc)
 
 
-def mat_log(g: BlockMatElement, max_terms=600) -> BlockMatElement:
+def mat_log(g: BlockMatElement) -> BlockMatElement:
     """Principal matrix logarithm via the series on g - I.
 
     Requires the operator norm of g - I to be below 1; raises
@@ -158,7 +164,7 @@ def mat_log(g: BlockMatElement, max_terms=600) -> BlockMatElement:
         raise LogOutOfDomain(f"norm of g - I is {dnorm:.3f}, must be < 1")
     acc = np.zeros_like(d)
     power = np.eye(g.shape.n)
-    for k in range(1, max_terms + 1):
+    for k in range(1, LOG_MAX_TERMS + 1):
         power = power @ d
         term = power / k if k % 2 else -power / k
         acc = acc + term
@@ -256,19 +262,18 @@ def random_block(shape, rng, norm=0.1):
 class XiGroupSample:
     """Sampled elements of the group generated by exponentials of a basis.
 
-    Every stored element must have an invertible even part and stay within
-    the configured operator-norm bound (so logs remain in domain).
+    Every stored element must have an invertible even part and operator
+    norm at most ``SAMPLE_NORM_BOUND``.
     """
 
     generators: list
     elements: list
-    norm_bound: float = 3.0
 
     def __post_init__(self):
         p = None
         for el in self.elements:
             p = el.shape.p
-            if el.opnorm() > self.norm_bound:
+            if el.opnorm() > SAMPLE_NORM_BOUND:
                 raise ValueError("sample element exceeds the norm bound")
             even = el.even().mat
             if (
@@ -278,11 +283,11 @@ class XiGroupSample:
                 raise ValueError("sample element has a singular even part")
 
 
-def sample_xi_group(generators, budget, rng, step=0.12, log_margin=0.6):
+def sample_xi_group(generators, budget, rng):
     """Products of small exponentials of the basis plus xi-conjugations.
 
     Samples stay in the identity component by construction and inside the
-    log domain (norm of element - identity below ``log_margin``).
+    log domain (norm of element - identity below ``SAMPLE_LOG_MARGIN``).
     """
     if not generators:
         raise ValueError("no generators; use trivial_sample for the trivial group")
@@ -294,7 +299,7 @@ def sample_xi_group(generators, budget, rng, step=0.12, log_margin=0.6):
         attempts += 1
         kind = int(rng.integers(0, 3))
         if kind == 0 or len(elements) < 3:
-            coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * step
+            coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * SAMPLE_STEP
             a = BlockMatElement.zero(shape)
             for c, g in zip(coeffs, generators):
                 a = a + g.scale(c)
@@ -308,7 +313,7 @@ def sample_xi_group(generators, budget, rng, step=0.12, log_margin=0.6):
             j = int(rng.integers(0, len(elements)))
             g0 = elements[i].even()
             candidate = g0 @ elements[j] @ even_inverse(g0)
-        if (candidate - identity).opnorm() < log_margin:
+        if (candidate - identity).opnorm() < SAMPLE_LOG_MARGIN:
             elements.append(candidate)
     return XiGroupSample(generators=list(generators), elements=elements)
 
@@ -406,7 +411,6 @@ def correspondence_roundtrip(
     tol=1e-6,
     closure_tol=DEFAULT_SPAN_TOL,
     seed=0,
-    step=0.12,
 ) -> VerificationReport:
     """Round trip: exponentiate a bracket-closed basis, recover its tangent span.
 
@@ -449,7 +453,7 @@ def correspondence_roundtrip(
     ]
     if float_gens:
         rng = np.random.default_rng(seed)
-        sample = sample_xi_group(float_gens, budget, rng, step=step)
+        sample = sample_xi_group(float_gens, budget, rng)
     else:
         sample = trivial_sample(shape)
 
@@ -482,11 +486,11 @@ def correspondence_roundtrip(
 
 
 def _exact_rank(elements):
-    from .linalg import FractionSpan
+    from .linalg import FractionSpan, sparse
 
     span = FractionSpan()
     for el in elements:
-        span.add({i: c for i, c in enumerate(el.coeffs) if c})
+        span.add(sparse(el.coeffs))
     return span.dim
 
 

@@ -31,18 +31,22 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .algebra import Element, Z2Algebra, random_element
-from .linalg import FractionSpan
+from .linalg import FractionSpan, sparse
 from .report import VerificationReport, element_witness
 
 
-def angle(x: Element, y: Element) -> Element:
-    """x*y0 - y0*x; depends on y only through its even component."""
+def angle(x, y):
+    """x*y0 - y0*x; depends on y only through its even component.
+
+    The operands may be algebra ``Element``s or word ``Series``: only
+    ``*``, ``-`` and ``even_part()`` are used.
+    """
     y0 = y.even_part()
     return x * y0 - y0 * x
 
 
-def square(x: Element, y: Element) -> Element:
-    """The commutator x*y - y*x."""
+def square(x, y):
+    """The commutator x*y - y*x, of two ``Element``s or two ``Series``."""
     return x * y - y * x
 
 
@@ -90,8 +94,6 @@ IDENTITIES = (
     ("jacobi", _jacobi, "triple"),
     ("antisymmetry", _antisymmetry, "pair"),
 )
-
-IDENTITY_NAMES = tuple(name for name, _, _ in IDENTITIES)
 
 
 def _exhaustive_arguments(alg, pattern):
@@ -145,24 +147,26 @@ def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
 
 @dataclass
 class SubalgebraBasis:
-    """Echelonized basis of a subspace closed under both brackets."""
+    """A subspace closed under both brackets, kept as one echelon span."""
 
     algebra: Z2Algebra
-    vectors: tuple
+    span: FractionSpan
 
-    def __post_init__(self):
-        self._span = FractionSpan()
-        for v in self.vectors:
-            self._span.add({i: c for i, c in enumerate(v.coeffs) if c})
+    @property
+    def vectors(self):
+        """The echelon rows as Elements, in pivot order."""
+        dim = self.algebra.dim
+        return tuple(
+            Element(self.algebra, [row.get(i, 0) for i in range(dim)])
+            for row in self.span.rows()
+        )
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return self.span.dim
 
     def contains(self, element: Element) -> bool:
-        return self._span.contains(
-            {i: c for i, c in enumerate(element.coeffs) if c}
-        )
+        return self.span.contains(sparse(element.coeffs))
 
 
 def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
@@ -182,23 +186,17 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
             raise ValueError("seed vectors must share one algebra")
     span = FractionSpan()
     for v in seed_vectors:
-        span.add({i: c for i, c in enumerate(v.coeffs) if c})
-
-    def current_basis():
-        out = []
-        for row in span.rows():
-            coeffs = [row.get(i, 0) for i in range(alg.dim)]
-            out.append(Element(alg, coeffs))
-        return out
+        span.add(sparse(v.coeffs))
+    subalgebra = SubalgebraBasis(algebra=alg, span=span)
 
     changed = True
     while changed and span.dim < alg.dim:
         changed = False
-        basis = current_basis()
+        basis = subalgebra.vectors
         for a in basis:
             for b in basis:
                 for new in (angle(a, b), square(a, b)):
-                    vec = {i: c for i, c in enumerate(new.coeffs) if c}
+                    vec = sparse(new.coeffs)
                     if vec and span.add(vec):
                         changed = True
-    return SubalgebraBasis(algebra=alg, vectors=tuple(current_basis()))
+    return subalgebra

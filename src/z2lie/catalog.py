@@ -3,9 +3,11 @@
 The catalog covers the classical real division algebras R, C, H, the dual
 numbers R2, the graded extensions C2, C-2, H2, H-2, and the two
 16-dimensional octonion-type algebras O2 and O-2.  The octonion-type
-tables are transcribed verbatim below; the five graded extensions are cut
-out of them as closed sub-tables (even span plus the matching odd copy),
-which reproduces the expected twist behaviour: with twist -1 the odd
+tables are transcribed verbatim below; every other catalog algebra is cut
+out of them as a closed sub-table.  R, C and H are the spans of the first
+one, two and four even units; the five graded extensions add the matching
+odd copy of an even span, which reproduces the expected twist behaviour:
+with twist -1 the odd
 vectors anti-commute with the imaginary even units, giving the
 conjugation rule v*z = conj(z)*v in the complex case, and at the
 one-even-dimension level the twist cancels entirely, so there is a single
@@ -51,20 +53,22 @@ class NotClosed(AlgebraError):
         self.witness = (i, j, k)
 
 
-CATALOG_NAMES = ("R", "C", "H", "R2", "C2", "C-2", "H2", "H-2", "O2", "O-2")
-
-_LEGAL = {
-    "R": ("R", None),
-    "C": ("C", None),
-    "H": ("H", None),
-    "R2": ("R", 1),
-    "C2": ("C", 1),
-    "C-2": ("C", -1),
-    "H2": ("H", 1),
-    "H-2": ("H", -1),
-    "O2": ("O", 1),
-    "O-2": ("O", -1),
+# name -> (twist of the octonion-type parent, even indices, odd indices);
+# None keeps the whole 16-dimensional table
+_CUTS = {
+    "R": (1, [0], []),
+    "C": (1, [0, 1], []),
+    "H": (1, [0, 1, 2, 3], []),
+    "R2": (1, [0], [8]),
+    "C2": (1, [0, 4], [8, 12]),
+    "C-2": (-1, [0, 4], [8, 12]),
+    "H2": (1, [0, 1, 4, 5], [8, 9, 12, 13]),
+    "H-2": (-1, [0, 1, 4, 5], [8, 9, 12, 13]),
+    "O2": (1, None, None),
+    "O-2": (-1, None, None),
 }
+
+CATALOG_NAMES = tuple(_CUTS)
 
 
 # Multiplication tables for the 16-dimensional octonion-type algebras.
@@ -109,16 +113,6 @@ _ODD_EVEN = (
     ((8, 0), (-7, 0), (6, 0), (5, 0), (-4, 1), (-3, 1), (2, 1), (-1, 1)),
 )
 
-# quaternion block (also the top-left corner of _EVEN_EVEN)
-_QUATERNION = (
-    (1, 2, 3, 4),
-    (2, -1, 4, -3),
-    (3, -4, -1, 2),
-    (4, 3, -2, -1),
-)
-
-_COMPLEX = ((1, 2), (2, -1))
-
 
 def _signed(entry):
     return (abs(entry) - 1, Fraction(1 if entry > 0 else -1))
@@ -148,24 +142,6 @@ def octonion_type_def(twist: int) -> AlgebraDef:
         name="O2" if twist == 1 else "O-2",
         dim=16,
         parity=(0,) * 8 + (1,) * 8,
-        structconst=triples,
-        unit=unit,
-    )
-
-
-def _table_def(name, table, parity=None):
-    dim = len(table)
-    triples = []
-    for i, row in enumerate(table):
-        for j, entry in enumerate(row):
-            k, sign = _signed(entry)
-            triples.append((i, j, k, sign))
-    unit = [Fraction(0)] * dim
-    unit[0] = Fraction(1)
-    return AlgebraDef(
-        name=name,
-        dim=dim,
-        parity=parity if parity is not None else (0,) * dim,
         structconst=triples,
         unit=unit,
     )
@@ -213,30 +189,20 @@ def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algeb
 @lru_cache(maxsize=None)
 def catalog_algebra(name: str) -> Z2Algebra:
     """Construct and validate one of the ten catalog algebras by name."""
-    if name not in _LEGAL:
+    if name not in _CUTS:
         raise IllegalName(
             f"unknown algebra {name!r}; expected one of {', '.join(CATALOG_NAMES)}"
         )
-    if name == "R":
-        return validate_z2(_table_def("R", ((1,),)))
-    if name == "C":
-        return validate_z2(_table_def("C", _COMPLEX))
-    if name == "H":
-        return validate_z2(_table_def("H", _QUATERNION))
-    if name in ("O2", "O-2"):
-        return validate_z2(octonion_type_def(1 if name == "O2" else -1))
-    twist = _LEGAL[name][1]
+    twist, even_idx, odd_idx = _CUTS[name]
+    if even_idx is None:
+        return validate_z2(octonion_type_def(twist))
     parent = catalog_algebra("O2" if twist == 1 else "O-2")
-    if name == "R2":
-        return subalgebra_restrict(parent, [0], [8], name="R2")
-    if name in ("C2", "C-2"):
-        return subalgebra_restrict(parent, [0, 4], [8, 12], name=name)
-    return subalgebra_restrict(parent, [0, 1, 4, 5], [8, 9, 12, 13], name=name)
+    return subalgebra_restrict(parent, even_idx, odd_idx, name=name)
 
 
 def expected_properties(name: str) -> dict:
     """Which properties each catalog algebra is asserted to have."""
-    if name not in _LEGAL:
+    if name not in _CUTS:
         raise IllegalName(name)
     octonion_type = name in ("O2", "O-2")
     return {

@@ -64,6 +64,12 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _usage_error(message):
+    """Print one ``error:`` line and return exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _dump(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -80,21 +86,18 @@ def cmd_catalog(args):
     try:
         alg = catalog_algebra(args.name)
     except IllegalName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     _emit(alg.defn.to_json(), args.output)
     return 0
 
 
 def cmd_verify(args):
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
+        return _usage_error("--trials must be at least 1")
     try:
         alg, catalog_name = _load_any_algebra(args.algebra)
     except AlgebraFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     except AlgebraError as exc:
         doc = {"algebra": args.algebra, "valid_z2": False, "error": str(exc), "passed": False}
         _emit(_dump(doc), args.output)
@@ -116,9 +119,9 @@ def cmd_verify(args):
         "division": division.to_json_dict(),
     }
 
+    failures = []
     if catalog_name is not None:
         claims = expected_properties(catalog_name)
-        failures = []
         if associative != claims["associative"]:
             failures.append("associative")
         if alternative != claims["alternative"]:
@@ -130,16 +133,12 @@ def cmd_verify(args):
         if claims["associative"] and not identities.passed:
             failures.append("bracket_identities")
         doc["claims"] = claims
-        doc["failed_claims"] = failures
-        doc["passed"] = not failures
-    else:
+    elif associative and not identities.passed:
         # for ad-hoc algebras the only assertion is that an associative
         # algebra satisfies all bracket identities
-        failures = []
-        if associative and not identities.passed:
-            failures.append("bracket_identities")
-        doc["failed_claims"] = failures
-        doc["passed"] = not failures
+        failures.append("bracket_identities")
+    doc["failed_claims"] = failures
+    doc["passed"] = not failures
 
     _emit(_dump(doc), args.output)
     return 0 if doc["passed"] else 1
@@ -147,8 +146,7 @@ def cmd_verify(args):
 
 def cmd_bch(args):
     if not 1 <= args.degree <= MAX_TRUNCATION:
-        print(f"error: degree must be in 1..{MAX_TRUNCATION}", file=sys.stderr)
-        return 2
+        return _usage_error(f"degree must be in 1..{MAX_TRUNCATION}")
     series = extended_bch(args.degree)
     fit = bracket_basis_fit(args.degree)
     comparison = compare_printed_series(min(args.degree, 4))
@@ -177,19 +175,23 @@ def cmd_bch(args):
 
 
 def cmd_correspond(args):
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        print("error: --tol must be a finite nonnegative number", file=sys.stderr)
-        return 2
+        return _usage_error("--tol must be a finite nonnegative number")
     try:
         p_str, q_str = args.shape.split(",")
         shape = BlockShape(int(p_str), int(q_str))
     except (ValueError, TypeError) as exc:
-        print(f"error: bad --shape (want p,q): {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"bad --shape (want p,q): {exc}")
     units = block_matrix_units(shape.p, shape.q)
+    # the identity sample has log 0, so recovering the full suite's
+    # dim(L) = p^2 + q^2 + pq tangent directions takes dim(L) + 1 samples
+    if args.trials <= len(units):
+        return _usage_error(
+            f"--trials must be at least p^2 + q^2 + pq + 1 = {len(units) + 1} "
+            f"for --shape {shape.p},{shape.q}"
+        )
+    if args.seed < 0:
+        return _usage_error("--seed must be nonnegative")
     even_units = [rc for rc in units if (rc[0] < shape.p) == (rc[1] < shape.p)]
     suites = {
         "trivial": [],
@@ -217,14 +219,12 @@ def cmd_invert(args):
     try:
         alg, _ = _load_any_algebra(args.algebra)
     except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     try:
         coeffs = [Fraction(part.strip()) for part in args.element.split(",")]
         element = Element(alg, coeffs)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad --element: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(f"bad --element: {exc}")
     try:
         inverse = element.invert()
         doc = {
@@ -296,8 +296,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         # an unreadable input or unwritable -o is a usage error, not a failed property
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ produced from the same seed are byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 MAX_WITNESSES = 5
@@ -73,9 +72,6 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_json_dict() for c in self.checks],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def element_witness(*named_elements):

@@ -203,7 +203,7 @@ def test_xi_group_sample_invariants():
         XiGroupSample(generators=[], elements=[singular])
     huge = BlockMatElement(SHAPE22, 10.0 * np.eye(4))
     with pytest.raises(ValueError):
-        XiGroupSample(generators=[], elements=[huge], norm_bound=3.0)
+        XiGroupSample(generators=[], elements=[huge])
 
 
 def test_xi_closure_even_only_generators():

@@ -109,6 +109,33 @@ def test_bad_definition_index_is_input_error(tmp_path, capsys, triple):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"dim": True, "parity": [0], "unit": ["1"], "structconst": [[0, 0, 0, "1"]]},
+        {"parity": [0, 1.0]},
+        {"parity": [False, True]},
+        {"unit": [True, "0"]},
+        {"structconst": [[0, 0, 0, True], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+    ],
+    ids=["bool-dim", "float-parity", "bool-parity", "bool-unit", "bool-coefficient"],
+)
+def test_non_canonical_definition_is_input_error(tmp_path, capsys, change):
+    # dual numbers with one entry that is not a plain int or rational string
+    path = tmp_path / "non-canonical.json"
+    defn = {
+        "name": "bad",
+        "dim": 2,
+        "parity": [0, 1],
+        "unit": ["1", "0"],
+        "structconst": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    }
+    path.write_text(json.dumps({**defn, **change}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_definition_above_dim_limit_is_input_error(tmp_path, capsys):
     # a valid diagonal algebra, refused only for its size
     dim = 65
@@ -201,6 +228,29 @@ def test_correspond_small_shape(tmp_path):
     assert set(doc["suites"]) == {"trivial", "even", "full"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shape", "1,1", "--trials", "20", "--seed", "-1"],
+        # the full suite needs p^2 + q^2 + pq + 1 samples
+        ["--shape", "4,4", "--trials", "48"],
+        ["--shape", "2,2", "--trials", "12"],
+        ["--shape", "1,1", "--trials", "0"],
+    ],
+    ids=" ".join,
+)
+def test_correspond_bad_budget_or_seed(argv, capsys):
+    assert main(["correspond", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_correspond_minimum_budget_is_accepted(tmp_path):
+    code, text = run(tmp_path, "correspond", "--shape", "1,1", "--trials", "4")
+    assert code == 0
+    assert json.loads(text)["passed"] is True
+
+
 def test_correspond_bad_shape(capsys):
     assert main(["correspond", "--shape", "nope"]) == 2
     # p + q is bounded before the dim^2 shadow algebra is built
@@ -289,6 +339,8 @@ GOLDEN_SHA256 = {
     ("catalog", "O2"): "d18fec3689d1e76c5295660e72cbeddc73e2f2f0426b83945ca701fc933028cf",
     ("catalog", "O-2"): "2a8d3174581713640acdd0c1597d6f6af7c65c8bdb1bb3659db93aa9369d8101",
     ("bch", "--degree", "5"): "6f9439a12e8206836c24368f9b145068029d665afe5399f9b64b9706dea50c33",
+    ("bch", "--degree", "6"): "d855b0c946765c709c17ca00ad103228b0b808126bfaed9243b32301192a444e",
+    ("verify", "H", "--trials", "20"): "8ee5fef7d1c0d4fe2b53b927cab1d4af1fe146862c18cb424335ad9fd2e0d612",
     ("verify", "C-2", "--trials", "20"): "0b2a42438e4d5382c0cfe2fa8d6642d86d952e68fd409eac7a4e3954c38a14ab",
     ("verify", "O-2", "--trials", "20"): "b6e4e2de50754e172c8ab4d69aabc2bc7e0cfd7e59a14d5f20ecb75b8955e86c",
     ("invert", "R2", "--element", "2,3"): "c201f50e9eaa470db8f76507e72741f96079489fb54dd6ac59c61a90db939c31",
