@@ -14,7 +14,10 @@ and the identity element is required to be purely even.  Violations are
 reported index by index rather than as a bare boolean, since the point of
 this module is machine verification.
 
-All arithmetic is exact over ``fractions.Fraction``.
+All arithmetic is exact over ``fractions.Fraction``.  An :class:`Element`
+stores the sparse vector format of :mod:`linalg` (``{index: Fraction}``
+with no zeros), so products, spans and the inverse's linear system share
+one format; its dense ``coeffs`` view serves reports and the CLI.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import sqrt
 
-from .linalg import solve_columns, sparse, vec_add
+from .linalg import solve_columns, vec_add
 
 
 class AlgebraError(Exception):
@@ -205,7 +209,7 @@ class Z2Algebra:
 
     def _check_unit(self):
         for i in self.odd_indices:
-            if self.unit.coeffs[i]:
+            if i in self.unit.terms:
                 raise NonEvenUnit(f"unit has odd component on e_{i}")
         for j in range(self.dim):
             e_j = self.basis(j)
@@ -220,7 +224,7 @@ class Z2Algebra:
         return Element(self, coeffs)
 
     def zero(self):
-        return Element(self, [Fraction(0)] * self.dim)
+        return Element._from_terms(self, {})
 
     # -- structure queries --------------------------------------------------
 
@@ -242,16 +246,36 @@ def validate_z2(defn: AlgebraDef) -> Z2Algebra:
 
 
 class Element:
-    """Exact rational coefficient vector over an algebra basis."""
+    """Exact rational vector over an algebra basis.
 
-    __slots__ = ("algebra", "coeffs")
+    ``terms`` is the sparse vector of :mod:`linalg` (basis index to nonzero
+    ``Fraction``, never mutated), and ``coeffs`` a read-only dense view for
+    reports and the CLI.  The constructor validates a dense coefficient
+    sequence from outside; canonical results skip it via :meth:`_from_terms`.
+    """
+
+    __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, coeffs):
         coeffs = [_as_fraction(c) for c in coeffs]
         if len(coeffs) != algebra.dim:
             raise ValueError("coefficient vector length must equal dim")
         self.algebra = algebra
-        self.coeffs = tuple(coeffs)
+        self.terms = {i: c for i, c in enumerate(coeffs) if c}
+
+    @classmethod
+    def _from_terms(cls, algebra, terms):
+        """An Element taking ``terms`` as is: Fraction values, no zeros."""
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out.terms = terms
+        return out
+
+    @property
+    def coeffs(self):
+        """Dense coefficient tuple, one Fraction per basis vector."""
+        terms = self.terms
+        return tuple(terms.get(i, Fraction(0)) for i in range(self.algebra.dim))
 
     # -- helpers ----------------------------------------------------------
 
@@ -267,22 +291,19 @@ class Element:
 
     def __add__(self, other):
         self._compatible(other)
-        return Element(
-            self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return Element._from_terms(self.algebra, vec_add(self.terms, other.terms))
 
     def __sub__(self, other):
         self._compatible(other)
-        return Element(
-            self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return Element._from_terms(self.algebra, vec_add(self.terms, other.terms, -1))
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coeffs])
+        return self.scale(-1)
 
     def scale(self, scalar):
         scalar = _as_fraction(scalar)
-        return Element(self.algebra, [scalar * a for a in self.coeffs])
+        terms = {i: scalar * c for i, c in self.terms.items()} if scalar else {}
+        return Element._from_terms(self.algebra, terms)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -294,37 +315,31 @@ class Element:
             return self.scale(other)
         self._compatible(other)
         alg = self.algebra
-        out = [Fraction(0)] * alg.dim
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
+        out = {}
+        for i, a in self.terms.items():
             rows_i = alg._rows[i]
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
+            for j, b in other.terms.items():
                 ab = a * b
                 for k, c in rows_i[j]:
-                    out[k] += ab * c
-        return Element(alg, out)
+                    out[k] = out.get(k, 0) + ab * c
+        return Element._from_terms(alg, {k: v for k, v in out.items() if v})
 
     # -- grading ------------------------------------------------------------
 
     def even_part(self):
-        coeffs = [
-            c if self.algebra.parity[i] == 0 else Fraction(0)
-            for i, c in enumerate(self.coeffs)
-        ]
-        return Element(self.algebra, coeffs)
+        parity = self.algebra.parity
+        return Element._from_terms(
+            self.algebra, {i: c for i, c in self.terms.items() if not parity[i]}
+        )
 
     def odd_part(self):
-        coeffs = [
-            c if self.algebra.parity[i] == 1 else Fraction(0)
-            for i, c in enumerate(self.coeffs)
-        ]
-        return Element(self.algebra, coeffs)
+        parity = self.algebra.parity
+        return Element._from_terms(
+            self.algebra, {i: c for i, c in self.terms.items() if parity[i]}
+        )
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.terms
 
     # -- inversion ----------------------------------------------------------
 
@@ -336,20 +351,8 @@ class Element:
         is not redundant because non-associative algebras are admitted.
         """
         alg = self.algebra
-        columns = []
-        for j in range(alg.dim):
-            col = {}
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for k, c in alg._rows[i][j]:
-                    s = col.get(k, 0) + a * c
-                    if s:
-                        col[k] = s
-                    else:
-                        col.pop(k, None)
-            columns.append(col)
-        solution = solve_columns(columns, sparse(alg.unit.coeffs))
+        columns = [(self * alg.basis(j)).terms for j in range(alg.dim)]
+        solution = solve_columns(columns, alg.unit.terms)
         if solution is None:
             raise NotInvertible("left-multiplication system is singular")
         candidate = Element(alg, solution)
@@ -362,42 +365,27 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
+        return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coeffs))
+        return hash((id(self.algebra), frozenset(self.terms.items())))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"Element({self.algebra.name}, [{body}])"
 
 
-def _associator(alg, i, j, k):
-    """(e_i e_j) e_k - e_i (e_j e_k) as a sparse vector."""
-    rows = alg._rows
-    out = {}
-    for l, c in rows[i][j]:
-        out = vec_add(out, dict(rows[l][k]), c)
-    for l, c in rows[j][k]:
-        out = vec_add(out, dict(rows[i][l]), -c)
-    return out
+def _associator(x, y, z):
+    return (x * y) * z - x * (y * z)
+
+
+def _basis_triples(alg):
+    return product([alg.basis(i) for i in range(alg.dim)], repeat=3)
 
 
 def is_associative(alg: Z2Algebra) -> bool:
     """Brute-force associativity over all dim^3 basis triples (no sampling)."""
-    return all(
-        not _associator(alg, i, j, k)
-        for i in range(alg.dim)
-        for j in range(alg.dim)
-        for k in range(alg.dim)
-    )
-
-
-def _alternative_at(alg, i, j, k):
-    a = _associator(alg, i, j, k)
-    return not vec_add(a, _associator(alg, j, i, k)) and not vec_add(
-        a, _associator(alg, i, k, j)
-    )
+    return all(_associator(x, y, z).is_zero() for x, y, z in _basis_triples(alg))
 
 
 def is_alternative(alg: Z2Algebra) -> bool:
@@ -407,19 +395,20 @@ def is_alternative(alg: Z2Algebra) -> bool:
     bilinear polarization over all basis triples, which is equivalent in
     characteristic zero and exhaustive at these dimensions.
     """
-    return all(
-        _alternative_at(alg, i, j, k)
-        for i in range(alg.dim)
-        for j in range(alg.dim)
-        for k in range(alg.dim)
-    )
+    for x, y, z in _basis_triples(alg):
+        a = _associator(x, y, z)
+        if not (a + _associator(y, x, z)).is_zero():
+            return False
+        if not (a + _associator(x, z, y)).is_zero():
+            return False
+    return True
 
 
 def part_norms_squared(a: Element):
     """Exact squared Euclidean norms of the even and odd components."""
     even = Fraction(0)
     odd = Fraction(0)
-    for i, c in enumerate(a.coeffs):
+    for i, c in a.terms.items():
         if a.algebra.parity[i] == 0:
             even += c * c
         else:

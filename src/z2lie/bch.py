@@ -85,6 +85,14 @@ class Series:
         self.truncation = truncation
         self.terms = clean
 
+    @classmethod
+    def _from_terms(cls, truncation, terms):
+        """A Series taking ``terms`` as is: clean words, nonzero Fractions."""
+        out = object.__new__(cls)
+        out.truncation = truncation
+        out.terms = terms
+        return out
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -147,7 +155,7 @@ class Series:
                 out[w] = s
             else:
                 out.pop(w, None)
-        return Series(self.truncation, out)
+        return Series._from_terms(self.truncation, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -157,11 +165,8 @@ class Series:
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
-        if not scalar:
-            return Series(self.truncation)
-        return Series(
-            self.truncation, {w: scalar * c for w, c in self.terms.items()}
-        )
+        terms = {w: scalar * c for w, c in self.terms.items()} if scalar else {}
+        return Series._from_terms(self.truncation, terms)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -196,27 +201,23 @@ class Series:
                             out[w] = s
                         else:
                             out.pop(w, None)
-        return Series(n, out)
+        return Series._from_terms(n, out)
 
     # -- grading -------------------------------------------------------------
 
-    def even_part(self):
-        return Series(
-            self.truncation,
-            {w: c for w, c in self.terms.items() if _odd_count(w) == 0},
+    def _select(self, keep):
+        return Series._from_terms(
+            self.truncation, {w: c for w, c in self.terms.items() if keep(w)}
         )
+
+    def even_part(self):
+        return self._select(lambda w: _odd_count(w) == 0)
 
     def odd_part(self):
-        return Series(
-            self.truncation,
-            {w: c for w, c in self.terms.items() if _odd_count(w) == 1},
-        )
+        return self._select(lambda w: _odd_count(w) == 1)
 
     def degree_component(self, degree):
-        out = Series(self.truncation)
-        # a subset of clean terms is clean, so the constructor's filter is skipped
-        out.terms = {w: c for w, c in self.terms.items() if len(w) == degree}
-        return out
+        return self._select(lambda w: len(w) == degree)
 
     def substitute_zero(self, *symbols):
         """Set whole generators to zero, e.g. substitute_zero("u", "w")."""
@@ -224,14 +225,7 @@ class Series:
         for symbol in symbols:
             base = 2 * SYMBOLS.index(symbol)
             drop.update((base, base + 1))
-        return Series(
-            self.truncation,
-            {
-                w: c
-                for w, c in self.terms.items()
-                if not any(letter in drop for letter in w)
-            },
-        )
+        return self._select(lambda w: drop.isdisjoint(w))
 
     # -- exp / log / inverse ------------------------------------------------------
 

@@ -298,7 +298,9 @@ def sample_xi_group(generators, budget, rng):
     while len(elements) < budget and attempts < 20 * budget:
         attempts += 1
         kind = int(rng.integers(0, 3))
-        if kind == 0 or len(elements) < 3:
+        # fresh exponentials until there are dim(L) of them, so a budget of
+        # dim(L) + 1 can span the tangent space
+        if kind == 0 or len(elements) <= len(generators):
             coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * SAMPLE_STEP
             a = BlockMatElement.zero(shape)
             for c, g in zip(coeffs, generators):
@@ -486,11 +488,11 @@ def correspondence_roundtrip(
 
 
 def _exact_rank(elements):
-    from .linalg import FractionSpan, sparse
+    from .linalg import FractionSpan
 
     span = FractionSpan()
     for el in elements:
-        span.add(sparse(el.coeffs))
+        span.add(el.terms)
     return span.dim
 
 

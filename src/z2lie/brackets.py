@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .algebra import Element, Z2Algebra, random_element
-from .linalg import FractionSpan, sparse
+from .linalg import FractionSpan
 from .report import VerificationReport, element_witness
 
 
@@ -155,18 +155,14 @@ class SubalgebraBasis:
     @property
     def vectors(self):
         """The echelon rows as Elements, in pivot order."""
-        dim = self.algebra.dim
-        return tuple(
-            Element(self.algebra, [row.get(i, 0) for i in range(dim)])
-            for row in self.span.rows()
-        )
+        return tuple(Element._from_terms(self.algebra, row) for row in self.span.rows())
 
     @property
     def dim(self):
         return self.span.dim
 
     def contains(self, element: Element) -> bool:
-        return self.span.contains(sparse(element.coeffs))
+        return self.span.contains(element.terms)
 
 
 def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
@@ -186,7 +182,7 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
             raise ValueError("seed vectors must share one algebra")
     span = FractionSpan()
     for v in seed_vectors:
-        span.add(sparse(v.coeffs))
+        span.add(v.terms)
     subalgebra = SubalgebraBasis(algebra=alg, span=span)
 
     changed = True
@@ -196,7 +192,6 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
         for a in basis:
             for b in basis:
                 for new in (angle(a, b), square(a, b)):
-                    vec = sparse(new.coeffs)
-                    if vec and span.add(vec):
+                    if new.terms and span.add(new.terms):
                         changed = True
     return subalgebra

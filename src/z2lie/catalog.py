@@ -173,15 +173,15 @@ def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algeb
                 if k not in pos:
                     raise NotClosed(i, j, k)
                 triples.append((a, b, pos[k], c))
-    for k, c in enumerate(alg.unit.coeffs):
-        if c and k not in pos:
+    for k in alg.unit.terms:
+        if k not in pos:
             raise NotClosed(0, 0, k)
     defn = AlgebraDef(
         name=name or f"{alg.name}|{len(keep)}",
         dim=len(keep),
         parity=tuple(alg.parity[i] for i in keep),
         structconst=triples,
-        unit=tuple(alg.unit.coeffs[i] for i in keep),
+        unit=tuple(alg.unit.terms.get(i, 0) for i in keep),
     )
     return validate_z2(defn)
 

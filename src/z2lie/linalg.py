@@ -13,11 +13,6 @@ from bisect import insort
 from fractions import Fraction
 
 
-def sparse(coeffs):
-    """The sparse vector ``{index: coeff}`` of a dense coefficient sequence."""
-    return {i: c for i, c in enumerate(coeffs) if c}
-
-
 def vec_add(a, b, scale=1):
     """a + scale*b with exact zeros dropped."""
     scale = Fraction(scale)

@@ -22,6 +22,7 @@ from z2lie.algebra import (
     random_element,
     validate_z2,
 )
+from z2lie.blockmodel import block_matrix_algebra
 from z2lie.catalog import catalog_algebra
 
 
@@ -254,22 +255,36 @@ def test_json_malformed():
         AlgebraDef.from_json(json.dumps({"name": "x", "dim": 1}))
 
 
+def _dense_product(alg, a, b):
+    """Reference product read straight off the structure-constant triples."""
+    out = [Fraction(0)] * alg.dim
+    for i, j, k, c in alg.defn.structconst:
+        out[k] += a.coeffs[i] * b.coeffs[j] * c
+    return tuple(out)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
-    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.lists(st.integers(-4, 4), min_size=16, max_size=16),
+    st.lists(st.integers(-4, 4), min_size=16, max_size=16),
 )
 def test_product_respects_grading(coeffs_a, coeffs_b):
-    alg = catalog_algebra("C-2")
-    a = Element(alg, [Fraction(c) for c in coeffs_a])
-    b = Element(alg, [Fraction(c) for c in coeffs_b])
-    a0, a1 = a.even_part(), a.odd_part()
-    b0, b1 = b.even_part(), b.odd_part()
-    assert (a0 * b0).odd_part().is_zero()
-    assert (a0 * b1).even_part().is_zero()
-    assert (a1 * b0).even_part().is_zero()
-    assert (a1 * b1).is_zero()
-    assert a * b == a0 * b0 + a0 * b1 + a1 * b0
+    for alg in (catalog_algebra("C-2"), catalog_algebra("O-2"), block_matrix_algebra(2, 1)):
+        a = Element(alg, [Fraction(c) for c in coeffs_a[: alg.dim]])
+        b = Element(alg, [Fraction(c) for c in coeffs_b[: alg.dim]])
+        ab = a * b
+        assert ab.coeffs == _dense_product(alg, a, b)
+        # canonical sparse form: no stored zeros, equal vectors hash equally
+        assert a - a == alg.zero() and hash(a - a) == hash(alg.zero())
+        for v in (a, ab):
+            assert Element(alg, v.coeffs) == v and hash(Element(alg, v.coeffs)) == hash(v)
+        a0, a1 = a.even_part(), a.odd_part()
+        b0, b1 = b.even_part(), b.odd_part()
+        assert (a0 * b0).odd_part().is_zero()
+        assert (a0 * b1).even_part().is_zero()
+        assert (a1 * b0).even_part().is_zero()
+        assert (a1 * b1).is_zero()
+        assert ab == a0 * b0 + a0 * b1 + a1 * b0
 
 
 def test_norm_helpers():

@@ -245,8 +245,23 @@ def test_correspond_bad_budget_or_seed(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_correspond_minimum_budget_is_accepted(tmp_path):
-    code, text = run(tmp_path, "correspond", "--shape", "1,1", "--trials", "4")
+def _minimum_budget(p, q):
+    return p * p + q * q + p * q + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shape", f"{p},{q}", "--trials", str(_minimum_budget(p, q)), "--seed", str(seed)]
+        for p, q in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (1, 4)]
+        for seed in range(4)
+    ]
+    # two budgets a few samples above the minimum, default seed
+    + [["--shape", "2,3", "--trials", "20"], ["--shape", "2,2", "--trials", "13"]],
+    ids=" ".join,
+)
+def test_correspond_minimum_budget_is_accepted(tmp_path, argv):
+    code, text = run(tmp_path, "correspond", *argv)
     assert code == 0
     assert json.loads(text)["passed"] is True
 
