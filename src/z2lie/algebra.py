@@ -17,7 +17,8 @@ this module is machine verification.
 All arithmetic is exact over ``fractions.Fraction``.  An :class:`Element`
 stores the sparse vector format of :mod:`linalg` (``{index: Fraction}``
 with no zeros), so products, spans and the inverse's linear system share
-one format; its dense ``coeffs`` view serves reports and the CLI.
+one format; its dense ``coeffs`` view serves reports and the CLI.  A product
+sums Python ints (factors and structure constants with cleared denominators).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import sqrt
 
-from .linalg import solve_columns, vec_add
+from .linalg import clear_denominators, divided, solve_columns, vec_add
 
 
 class AlgebraError(Exception):
@@ -146,6 +147,9 @@ class AlgebraDef:
             triples = data["structconst"]
             if not isinstance(name, str):
                 raise TypeError("name must be a string")
+            # a string would pass as a sequence of one-character entries
+            if not all(isinstance(v, list) for v in (parity, unit, triples, *triples)):
+                raise TypeError("parity, unit, structconst and its rows must be lists")
             return cls(name, dim, parity, triples, unit)
         except AlgebraFormatError:
             raise
@@ -187,8 +191,12 @@ class Z2Algebra:
         self.parity = defn.parity
         self.even_indices = tuple(i for i, p in enumerate(defn.parity) if p == 0)
         self.odd_indices = tuple(i for i, p in enumerate(defn.parity) if p == 1)
+        # integer structure constants over one common denominator
+        numerators, self._den = clear_denominators(
+            {(i, j, k): c for i, j, k, c in defn.structconst}
+        )
         rows = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-        for i, j, k, c in defn.structconst:
+        for (i, j, k), c in numerators.items():
             rows[i][j].append((k, c))
         self._rows = tuple(tuple(map(tuple, row)) for row in rows)
         self._check_grading()
@@ -229,8 +237,8 @@ class Z2Algebra:
     # -- structure queries --------------------------------------------------
 
     def mul_row(self, i, j):
-        """Sparse expansion of ``e_i * e_j`` as ``((k, coeff), ...)``."""
-        return self._rows[i][j]
+        """Sparse expansion of ``e_i * e_j`` as ``((k, Fraction), ...)``."""
+        return tuple((k, Fraction(c, self._den)) for k, c in self._rows[i][j])
 
     def __repr__(self):
         return f"Z2Algebra({self.name!r}, dim={self.dim})"
@@ -315,14 +323,16 @@ class Element:
             return self.scale(other)
         self._compatible(other)
         alg = self.algebra
+        left, den_a = clear_denominators(self.terms)
+        right, den_b = clear_denominators(other.terms)
         out = {}
-        for i, a in self.terms.items():
+        for i, a in left.items():
             rows_i = alg._rows[i]
-            for j, b in other.terms.items():
+            for j, b in right.items():
                 ab = a * b
                 for k, c in rows_i[j]:
                     out[k] = out.get(k, 0) + ab * c
-        return Element._from_terms(alg, {k: v for k, v in out.items() if v})
+        return Element._from_terms(alg, divided(out, den_a * den_b * alg._den))
 
     # -- grading ------------------------------------------------------------
 

@@ -29,10 +29,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, lcm
 
 from .brackets import angle, square
-from .linalg import solve_columns
+from .linalg import clear_denominators, solve_columns, vec_add
 
 
 class TruncationMismatch(Exception):
@@ -49,6 +49,7 @@ class InconsistentSystem(Exception):
 
 GENERATOR_NAMES = ("x0", "x1", "y0", "y1", "u0", "u1", "w0", "w1")
 _LETTER = {name: i for i, name in enumerate(GENERATOR_NAMES)}
+_ODD_LETTERS = frozenset(range(1, len(GENERATOR_NAMES), 2))
 SYMBOLS = ("x", "y", "u", "w")
 
 MAX_TRUNCATION = 8
@@ -58,12 +59,35 @@ def _word_key(word):
     return (len(word), word)
 
 
-def _odd_count(word):
-    return sum(letter & 1 for letter in word)
+def _is_odd(word):
+    """Whether a word with at most one odd letter is odd."""
+    return not _ODD_LETTERS.isdisjoint(word)
 
 
 def word_name(word):
     return " ".join(GENERATOR_NAMES[letter] for letter in word) if word else "1"
+
+
+def _cleared(terms):
+    """Integer numerators grouped by word length and parity, and their denominator."""
+    numerators, den = clear_denominators(terms)
+    groups = {}
+    for w, c in numerators.items():
+        groups.setdefault((len(w), _is_odd(w)), {})[w] = c
+    return groups, den
+
+
+def _word_product(left, right, truncation):
+    """The truncated product of two grouped integer polynomials, without zeros."""
+    acc = {}
+    for (da, oa), terms_a in left.items():
+        for (db, ob), terms_b in right.items():
+            if da + db <= truncation and oa + ob < 2:
+                for wa, ca in terms_a.items():
+                    for wb, cb in terms_b.items():
+                        w = wa + wb
+                        acc[w] = acc.get(w, 0) + ca * cb
+    return {w: c for w, c in acc.items() if c}
 
 
 class Series:
@@ -77,9 +101,9 @@ class Series:
         clean = {}
         if terms:
             for word, coeff in terms.items():
-                if len(word) > truncation or _odd_count(word) >= 2:
+                if len(word) > truncation or sum(letter & 1 for letter in word) >= 2:
                     continue
-                coeff = Fraction(coeff)
+                coeff = coeff if type(coeff) is int else Fraction(coeff)
                 if coeff:
                     clean[word] = coeff
         self.truncation = truncation
@@ -87,7 +111,7 @@ class Series:
 
     @classmethod
     def _from_terms(cls, truncation, terms):
-        """A Series taking ``terms`` as is: clean words, nonzero Fractions."""
+        """A Series taking ``terms`` as is: clean words, nonzero ints or Fractions."""
         out = object.__new__(cls)
         out.truncation = truncation
         out.terms = terms
@@ -97,20 +121,17 @@ class Series:
 
     @classmethod
     def one(cls, truncation):
-        return cls(truncation, {(): Fraction(1)})
+        return cls(truncation, {(): 1})
 
     @classmethod
     def generator(cls, name, truncation):
-        return cls(truncation, {(_LETTER[name],): Fraction(1)})
+        return cls(truncation, {(_LETTER[name],): 1})
 
     @classmethod
     def full_generator(cls, symbol, truncation):
         """x0 + x1 for symbol "x", and so on."""
         base = 2 * SYMBOLS.index(symbol)
-        return cls(
-            truncation,
-            {(base,): Fraction(1), (base + 1,): Fraction(1)},
-        )
+        return cls(truncation, {(base,): 1, (base + 1,): 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -148,14 +169,7 @@ class Series:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return Series._from_terms(self.truncation, out)
+        return Series._from_terms(self.truncation, vec_add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -165,6 +179,7 @@ class Series:
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
+        scalar = scalar.numerator if scalar.denominator == 1 else scalar
         terms = {w: scalar * c for w, c in self.terms.items()} if scalar else {}
         return Series._from_terms(self.truncation, terms)
 
@@ -173,35 +188,14 @@ class Series:
 
     # -- multiplication ---------------------------------------------------------
 
-    def _buckets(self):
-        out = {}
-        for w, c in self.terms.items():
-            out.setdefault(len(w), []).append((w, _odd_count(w), c))
-        return out
-
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
         self._check(other)
         n = self.truncation
-        left = self._buckets()
-        right = other._buckets()
-        out = {}
-        for da, terms_a in left.items():
-            for db, terms_b in right.items():
-                if da + db > n:
-                    continue
-                for wa, oa, ca in terms_a:
-                    for wb, ob, cb in terms_b:
-                        if oa + ob >= 2:
-                            continue
-                        w = wa + wb
-                        s = out.get(w, 0) + ca * cb
-                        if s:
-                            out[w] = s
-                        else:
-                            out.pop(w, None)
-        return Series._from_terms(n, out)
+        (left, den_a), (right, den_b) = _cleared(self.terms), _cleared(other.terms)
+        product = Series._from_terms(n, _word_product(left, right, n))
+        return product.scale(Fraction(1, den_a * den_b))
 
     # -- grading -------------------------------------------------------------
 
@@ -211,10 +205,10 @@ class Series:
         )
 
     def even_part(self):
-        return self._select(lambda w: _odd_count(w) == 0)
+        return self._select(lambda w: not _is_odd(w))
 
     def odd_part(self):
-        return self._select(lambda w: _odd_count(w) == 1)
+        return self._select(_is_odd)
 
     def degree_component(self, degree):
         return self._select(lambda w: len(w) == degree)
@@ -230,15 +224,20 @@ class Series:
     # -- exp / log / inverse ------------------------------------------------------
 
     def _power_series(self, coeff):
-        """Sum of ``coeff(n) * self**n`` over n, up to the first zero power."""
-        result = Series.one(self.truncation).scale(coeff(0))
-        power = Series.one(self.truncation)
-        for n in range(1, self.truncation + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            result = result + power.scale(coeff(n))
-        return result
+        """Sum of ``coeff(n) * self**n`` over n, accumulated as ints over one
+        denominator (the powers of ``self`` times its denominator are integral)."""
+        n_max = self.truncation
+        coeffs = [Fraction(coeff(n)) for n in range(n_max + 1)]
+        numerators, den = clear_denominators(self.terms)
+        base = Series._from_terms(n_max, numerators)
+        total_den = lcm(*[c.denominator for c in coeffs]) * den**n_max
+        total, power = Series(n_max), Series.one(n_max)
+        for n, c in enumerate(coeffs):
+            if n:
+                power = power * base
+            factor = c.numerator * (total_den // (c.denominator * den**n))
+            total = total + power.scale(factor)
+        return total.scale(Fraction(1, total_den))
 
     def exp(self):
         if self.constant:
@@ -358,12 +357,14 @@ def bracket_string(term: BracketTerm, angle_pair="<>") -> str:
     return f"[{left},{right}]"
 
 
+@lru_cache(maxsize=None)
 def bracket_expand(term: BracketTerm, truncation: int) -> Series:
-    """Expand a bracket expression into word coordinates.
+    """Expand a bracket expression into word coordinates (int coefficients).
 
     Angle and square nodes apply :func:`brackets.angle` and
     :func:`brackets.square` to the expanded operands; a generator leaf is
-    the sum of its even and odd letters.
+    the sum of its even and odd letters.  Memoised, as the Lyndon monomials
+    share subterms: the returned Series is shared and must not be mutated.
     """
     if term.op == "gen":
         return Series.full_generator(term.name, truncation)
@@ -377,14 +378,12 @@ def _fit_degree(terms, series, degree):
     """Exact coefficients of ``terms`` matching one degree component of ``series``.
 
     Returns one coefficient per term, or None when the component lies
-    outside the span of the expanded terms.
+    outside the span of the expanded terms.  Each expansion is homogeneous
+    of degree ``degree``, so tuple order is the ``_word_key`` order.
     """
-    columns = [
-        bracket_expand(term, series.truncation).degree_component(degree).terms
-        for term in terms
-    ]
+    columns = [bracket_expand(term, series.truncation).terms for term in terms]
     target = series.degree_component(degree).terms
-    return solve_columns(columns, target, sort_key=_word_key)
+    return solve_columns(columns, target)
 
 
 def printed_series_terms():

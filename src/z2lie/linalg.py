@@ -1,21 +1,27 @@
 """Exact rational linear algebra over sparse vectors with arbitrary keys.
 
-Vectors are ``dict[key, Fraction]`` mappings with no explicit zeros.  Keys
-can be basis indices (small ints) or word tuples; the pivot of a vector is
-its smallest key under a fixed sort order, which makes every elimination
-deterministic: repeated runs produce identical spans, witnesses and
-reports.
+Vectors are ``dict[key, value]`` mappings with no explicit zeros; values are
+ints or ``Fraction``s.  Keys can be basis indices (small ints) or word
+tuples; the pivot of a vector is its smallest key under a fixed sort order,
+which makes every elimination deterministic: repeated runs produce
+identical spans, witnesses and reports.
+
+:class:`FractionSpan` eliminates fraction-free (Bareiss, Math. Comp. 22
+(1968) 565-578): rows and witnesses are integer vectors, and a step scales
+the working vector by the pivot instead of dividing by it.  Each step is a
+scalar multiple of the rational one, so the ``Fraction`` results are equal.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def vec_add(a, b, scale=1):
-    """a + scale*b with exact zeros dropped."""
-    scale = Fraction(scale)
+    """a + scale*b with exact zeros dropped; int values stay ints for an int scale."""
+    scale = scale if type(scale) is int else Fraction(scale)
     out = dict(a)
     for k, v in b.items():
         s = out.get(k, 0) + scale * v
@@ -26,20 +32,36 @@ def vec_add(a, b, scale=1):
     return out
 
 
+def clear_denominators(vec):
+    """Integers ``(numerators, den)`` with ``vec == numerators / den``, den > 0."""
+    den = lcm(*[c.denominator for c in vec.values()])
+    if den == 1:
+        return {k: c.numerator for k, c in vec.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
+
+
+def divided(numerators, den):
+    """The vector ``numerators / den`` as ``Fraction``s, zeros dropped."""
+    if den == 1:
+        return {k: Fraction(v) for k, v in numerators.items() if v}
+    return {k: Fraction(v, den) for k, v in numerators.items() if v}
+
+
 class FractionSpan:
     """A linear span kept in echelon form, pivoting on the smallest key.
 
-    With ``track=True`` every echelon row also remembers its expression
-    over the inserted vectors, so :meth:`reduce` can return an exact
-    witness combination for membership.
+    Rows are integer vectors with a positive pivot coefficient.  With
+    ``track=True`` every row also remembers its integer expression over the
+    inserted vectors cleared of denominators, so :meth:`reduce` can return
+    an exact witness combination for membership.
     """
 
     def __init__(self, sort_key=None, track=False):
-        self._key = sort_key if sort_key is not None else (lambda k: k)
-        self._rows: dict = {}    # pivot key -> vector, pivot coefficient 1
-        self._combos: dict = {}  # pivot key -> {insertion index: Fraction}
+        self._key = sort_key  # None: the keys' own order
+        self._rows: dict = {}    # pivot key -> integer vector
+        self._combos: dict = {}  # pivot key -> {insertion index: int}
+        self._dens: list = []    # the denominator cleared from each inserted vector
         self._track = track
-        self._n_inserted = 0
 
     @property
     def dim(self):
@@ -47,20 +69,17 @@ class FractionSpan:
 
     def rows(self):
         """Echelon rows in pivot order (each pivot coefficient is 1)."""
-        return [dict(self._rows[p]) for p in sorted(self._rows, key=self._key)]
+        rows = self._rows
+        return [divided(rows[p], rows[p][p]) for p in sorted(rows, key=self._key)]
 
-    def reduce(self, vec):
-        """Fully reduce ``vec`` against the span.
+    def _eliminate(self, work, scale):
+        """Reduce the integer vector ``work``, standing for ``work / scale``.
 
-        Returns ``(residual, combo)`` with ``vec = sum(combo[i] * inserted_i)
-        + residual`` exactly; ``combo`` is empty unless tracking is on.
-        The residual is canonical: it has no support on any pivot key.
+        Returns integers ``(residual, combo, scale)`` with ``scale * vec =
+        residual + sum(combo[i] * inserted_i * self._dens[i])``.
         """
-        work = {k: Fraction(v) for k, v in vec.items() if v}
         order = sorted(work, key=self._key)
-        pos = 0
-        residual = {}
-        combo: dict = {}
+        pos, residual, combo = 0, {}, {}
         while pos < len(order):
             key = order[pos]
             pos += 1
@@ -71,52 +90,58 @@ class FractionSpan:
             if row is None:
                 residual[key] = coeff
                 continue
+            # work := lead * work - coeff * row, with gcd(lead, coeff) divided out
+            g = gcd(coeff, row[key])
+            coeff, lead = coeff // g, row[key] // g
+            if lead != 1:
+                scale *= lead
+                work, residual, combo = (
+                    {k: v * lead for k, v in d.items()} for d in (work, residual, combo)
+                )
             for k, v in row.items():
-                if k == key:
-                    continue
-                s = work.get(k, 0) - coeff * v
-                if s:
+                if k != key:
                     if k not in work:
                         # introduced keys are strictly larger than `key`
                         insort(order, k, lo=pos, key=self._key)
-                    work[k] = s
-                else:
-                    work.pop(k, None)
+                    work[k] = work.get(k, 0) - coeff * v
             if self._track:
                 for idx, v in self._combos[key].items():
-                    s = combo.get(idx, 0) + coeff * v
-                    if s:
-                        combo[idx] = s
-                    else:
-                        combo.pop(idx, None)
-        return residual, combo
+                    combo[idx] = combo.get(idx, 0) + coeff * v
+        return residual, combo, scale
+
+    def reduce(self, vec):
+        """Fully reduce ``vec`` against the span.
+
+        Returns ``(residual, combo)`` of ``Fraction``s with ``vec =
+        sum(combo[i] * inserted_i) + residual`` exactly; ``combo`` is empty
+        unless tracking is on.  The residual is canonical: it has no support
+        on any pivot key.
+        """
+        residual, combo, scale = self._eliminate(*clear_denominators(vec))
+        combo = {i: v * self._dens[i] for i, v in combo.items()}
+        return divided(residual, scale), divided(combo, scale)
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        index = self._n_inserted
-        self._n_inserted += 1
-        residual, combo = self.reduce(vec)
+        work, den = clear_denominators(vec)
+        self._dens.append(den)
+        residual, combo, scale = self._eliminate(work, 1)
         if not residual:
             return False
         pivot = min(residual, key=self._key)
-        lead = residual[pivot]
-        row = {k: v / lead for k, v in residual.items()}
-        self._rows[pivot] = row
+        # residual = scale * cleared_new - sum(combo[i] * cleared_i)
+        combo = {i: -v for i, v in combo.items()}
         if self._track:
-            # row = (inserted - sum(combo * originals)) / lead
-            rc = {index: Fraction(1, 1) / lead}
-            for idx, v in combo.items():
-                s = rc.get(idx, 0) - v / lead
-                if s:
-                    rc[idx] = s
-                else:
-                    rc.pop(idx, None)
-            self._combos[pivot] = rc
+            combo[len(self._dens) - 1] = scale
+        g = gcd(*residual.values(), *combo.values())
+        g = g if residual[pivot] > 0 else -g
+        self._rows[pivot] = {k: v // g for k, v in residual.items()}
+        if self._track:
+            self._combos[pivot] = {i: v // g for i, v in combo.items() if v}
         return True
 
     def contains(self, vec):
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self.reduce(vec)[0]
 
 
 def solve_columns(columns, target, sort_key=None):

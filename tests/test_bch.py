@@ -11,6 +11,7 @@ from z2lie.bch import (
     BadConstantTerm,
     Series,
     TruncationMismatch,
+    _lyndon_monomials,
     angle_term,
     bracket_basis_fit,
     bracket_expand,
@@ -146,6 +147,20 @@ def test_bracket_expand_square_even_projection():
         (X0, Y0): Fraction(1),
         (Y0, X0): Fraction(-1),
     }
+
+
+def test_integer_coefficients_stay_ints_and_compare_as_fractions():
+    # the fit's columns: bracket expansions are integer and stay Python ints
+    for degree in range(1, 6):
+        for term in _lyndon_monomials(degree):
+            assert all(type(c) is int for c in bracket_expand(term, 5).terms.values())
+    ints = bracket_expand(square_term(gen("x"), angle_term(gen("y"), gen("w"))), 4)
+    fracs = Series(4, {w: Fraction(c) for w, c in ints.terms.items()})
+    assert all(type(c) is Fraction for c in fracs.terms.values())
+    assert ints == fracs and fracs == ints
+    assert repr(ints) == repr(fracs)
+    assert ints * fracs == fracs * fracs
+    assert ints.scale(Fraction(1, 3)) == fracs.scale(Fraction(1, 3))
 
 
 def test_extended_bch_degree_one():

@@ -117,8 +117,24 @@ def test_bad_definition_index_is_input_error(tmp_path, capsys, triple):
         {"parity": [False, True]},
         {"unit": [True, "0"]},
         {"structconst": [[0, 0, 0, True], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+        {"unit": "10"},
+        {"parity": "01"},
+        {"structconst": "0001"},
+        {"structconst": ["0001", [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+        {"structconst": {"0": [0, 0, 0, "1"]}},
     ],
-    ids=["bool-dim", "float-parity", "bool-parity", "bool-unit", "bool-coefficient"],
+    ids=[
+        "bool-dim",
+        "float-parity",
+        "bool-parity",
+        "bool-unit",
+        "bool-coefficient",
+        "string-unit",
+        "string-parity",
+        "string-structconst",
+        "string-structconst-row",
+        "object-structconst",
+    ],
 )
 def test_non_canonical_definition_is_input_error(tmp_path, capsys, change):
     # dual numbers with one entry that is not a plain int or rational string
@@ -355,9 +371,11 @@ GOLDEN_SHA256 = {
     ("catalog", "O-2"): "2a8d3174581713640acdd0c1597d6f6af7c65c8bdb1bb3659db93aa9369d8101",
     ("bch", "--degree", "5"): "6f9439a12e8206836c24368f9b145068029d665afe5399f9b64b9706dea50c33",
     ("bch", "--degree", "6"): "d855b0c946765c709c17ca00ad103228b0b808126bfaed9243b32301192a444e",
+    ("bch", "--degree", "7"): "a9373e72fff608ef7583eb1bebdfdc5d56aa367a113f946a53fb69fe9a1cc039",
     ("verify", "H", "--trials", "20"): "8ee5fef7d1c0d4fe2b53b927cab1d4af1fe146862c18cb424335ad9fd2e0d612",
     ("verify", "C-2", "--trials", "20"): "0b2a42438e4d5382c0cfe2fa8d6642d86d952e68fd409eac7a4e3954c38a14ab",
     ("verify", "O-2", "--trials", "20"): "b6e4e2de50754e172c8ab4d69aabc2bc7e0cfd7e59a14d5f20ecb75b8955e86c",
+    ("verify", "O2", "--trials", "20"): "04f794f3509c0fcd04bcdc935a047bdf073bdb761e9ad4bd018778d5331091c7",
     ("invert", "R2", "--element", "2,3"): "c201f50e9eaa470db8f76507e72741f96079489fb54dd6ac59c61a90db939c31",
 }
 

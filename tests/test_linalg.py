@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from z2lie.bch import _word_key
 from z2lie.linalg import FractionSpan, solve_columns, vec_add
 
 
@@ -64,3 +68,77 @@ def test_word_keys_sort_by_length_then_lex():
     # pivot must be the shorter word
     residual, _ = span.reduce({(1,): Fraction(2)})
     assert residual == {(0, 1): Fraction(-2)}
+
+
+def _plain_rank(vectors, keys):
+    """Rank by textbook Fraction Gaussian elimination on dense rows."""
+    rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vectors]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+_KEY_KINDS = {
+    # basis indices in their own order, words by length then lexicographically
+    "ints": (st.integers(0, 5), None),
+    "words": (st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple), _word_key),
+}
+
+
+@st.composite
+def _systems(draw):
+    keys, sort_key = _KEY_KINDS[draw(st.sampled_from(sorted(_KEY_KINDS)))]
+    vectors = st.dictionaries(keys, _RATIONALS, max_size=5).map(
+        lambda v: {k: c for k, c in v.items() if c}
+    )
+    columns = draw(st.lists(vectors, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # a combination of the columns, so the system is solvable
+        target = {}
+        for col in columns:
+            target = vec_add(target, col, draw(_RATIONALS))
+    else:
+        target = draw(vectors)
+    return columns, target, sort_key
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_systems())
+def test_fraction_free_span_matches_plain_elimination(system):
+    columns, target, sort_key = system
+    keys = sorted({k for v in [*columns, target] for k in v}, key=sort_key)
+    solution = solve_columns(columns, target, sort_key=sort_key)
+    solvable = _plain_rank(columns, keys) == _plain_rank([*columns, target], keys)
+    assert (solution is None) == (not solvable)
+    if solution is not None:
+        total = {}
+        for c, col in zip(solution, columns):
+            total = vec_add(total, col, c)
+        assert total == target
+
+    span = FractionSpan(sort_key=sort_key, track=True)
+    for col in columns:
+        span.add(col)
+    assert span.dim == _plain_rank(columns, keys)
+    rows = span.rows()
+    pivots = [min(row, key=sort_key) for row in rows]
+    assert pivots == sorted(set(pivots), key=sort_key)
+    for pivot, row in zip(pivots, rows):
+        assert row[pivot] == 1
+        assert all(type(c) is Fraction and c for c in row.values())
+    residual, combo = span.reduce(target)
+    assert not set(residual) & set(pivots)
+    rebuilt = dict(residual)
+    for i, c in combo.items():
+        rebuilt = vec_add(rebuilt, columns[i], c)
+    assert rebuilt == target
