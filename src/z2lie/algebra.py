@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import sqrt
 
-from .linalg import clear_denominators, divided, solve_columns, vec_add
+from .linalg import bilinear, clear_denominators, divided, solve_columns, vec_add
 
 
 class AlgebraError(Exception):
@@ -234,12 +234,6 @@ class Z2Algebra:
     def zero(self):
         return Element._from_terms(self, {})
 
-    # -- structure queries --------------------------------------------------
-
-    def mul_row(self, i, j):
-        """Sparse expansion of ``e_i * e_j`` as ``((k, Fraction), ...)``."""
-        return tuple((k, Fraction(c, self._den)) for k, c in self._rows[i][j])
-
     def __repr__(self):
         return f"Z2Algebra({self.name!r}, dim={self.dim})"
 
@@ -282,8 +276,8 @@ class Element:
     @property
     def coeffs(self):
         """Dense coefficient tuple, one Fraction per basis vector."""
-        terms = self.terms
-        return tuple(terms.get(i, Fraction(0)) for i in range(self.algebra.dim))
+        terms, zero = self.terms, Fraction(0)
+        return tuple(terms.get(i, zero) for i in range(self.algebra.dim))
 
     # -- helpers ----------------------------------------------------------
 
@@ -325,13 +319,7 @@ class Element:
         alg = self.algebra
         left, den_a = clear_denominators(self.terms)
         right, den_b = clear_denominators(other.terms)
-        out = {}
-        for i, a in left.items():
-            rows_i = alg._rows[i]
-            for j, b in right.items():
-                ab = a * b
-                for k, c in rows_i[j]:
-                    out[k] = out.get(k, 0) + ab * c
+        out = bilinear(alg._rows, left, right)
         return Element._from_terms(alg, divided(out, den_a * den_b * alg._den))
 
     # -- grading ------------------------------------------------------------
@@ -385,17 +373,16 @@ class Element:
         return f"Element({self.algebra.name}, [{body}])"
 
 
-def _associator(x, y, z):
-    return (x * y) * z - x * (y * z)
-
-
-def _basis_triples(alg):
-    return product([alg.basis(i) for i in range(alg.dim)], repeat=3)
+def _basis_associator(rows, i, j, k):
+    """``(e_i e_j) e_k - e_i (e_j e_k)`` in the integer table, over ``den**2``."""
+    left = bilinear(rows, dict(rows[i][j]), {k: 1})
+    return vec_add(left, bilinear(rows, {i: 1}, dict(rows[j][k])), -1)
 
 
 def is_associative(alg: Z2Algebra) -> bool:
     """Brute-force associativity over all dim^3 basis triples (no sampling)."""
-    return all(_associator(x, y, z).is_zero() for x, y, z in _basis_triples(alg))
+    triples = product(range(alg.dim), repeat=3)
+    return not any(_basis_associator(alg._rows, *ijk) for ijk in triples)
 
 
 def is_alternative(alg: Z2Algebra) -> bool:
@@ -403,13 +390,16 @@ def is_alternative(alg: Z2Algebra) -> bool:
 
     Each law is quadratic in one argument, so it is checked through its
     bilinear polarization over all basis triples, which is equivalent in
-    characteristic zero and exhaustive at these dimensions.
+    characteristic zero and exhaustive at these dimensions.  The associators
+    are integer vectors read off ``Z2Algebra._rows``; a polarized law is
+    symmetric in the two arguments it pairs, so one order of each is checked.
     """
-    for x, y, z in _basis_triples(alg):
-        a = _associator(x, y, z)
-        if not (a + _associator(y, x, z)).is_zero():
+    rows = alg._rows
+    for i, j, k in product(range(alg.dim), repeat=3):
+        a = _basis_associator(rows, i, j, k)
+        if i <= j and vec_add(a, _basis_associator(rows, j, i, k)):
             return False
-        if not (a + _associator(x, z, y)).is_zero():
+        if j <= k and vec_add(a, _basis_associator(rows, i, k, j)):
             return False
     return True
 

@@ -22,16 +22,21 @@ The verifier below evaluates every identity exhaustively over basis
 arguments and over seeded random exact triples, recording counterexample
 witnesses instead of raising.  Nothing is assumed about associativity; on
 a non-associative algebra the report simply shows which identities fail.
+
+The basis phase reads two integer tables built once per call,
+``angle(e_i, e_j)`` and ``square(e_i, e_j)`` over one common denominator,
+in the sparse row format of ``Z2Algebra._rows``; both brackets are
+bilinear, so the identities are evaluated on integer vectors through them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import product
 
 from .algebra import Element, Z2Algebra, random_element
-from .linalg import FractionSpan
+from .linalg import FractionSpan, bilinear, clear_denominators, divided, vec_add
 from .report import VerificationReport, element_witness
 
 
@@ -50,24 +55,24 @@ def square(x, y):
     return x * y - y * x
 
 
-def _leibniz(x, y, z):
+def _leibniz(angle, square, x, y, z):
     return angle(angle(x, y), z) - angle(x, angle(y, z)) - angle(angle(x, z), y)
 
 
-def _huliu_1(x, y, z):
+def _huliu_1(angle, square, x, y, z):
     return angle(x, square(y, z)) - angle(x, angle(y, z))
 
 
-def _huliu_2(x, y, _z=None):
+def _huliu_2(angle, square, x, y, _z=None):
     a = angle(x, x)
     return square(a, y) - angle(a, y)
 
 
-def _huliu_3(x, y, z):
+def _huliu_3(angle, square, x, y, z):
     return angle(square(x, y), z) + square(angle(y, z), x) + square(y, angle(x, z))
 
 
-def _huliu_4(x, y, z):
+def _huliu_4(angle, square, x, y, z):
     return (
         square(angle(x, y), z)
         + square(z, square(x, y))
@@ -76,47 +81,67 @@ def _huliu_4(x, y, z):
     )
 
 
-def _jacobi(x, y, z):
+def _jacobi(angle, square, x, y, z):
     return square(square(x, y), z) + square(square(y, z), x) + square(square(z, x), y)
 
 
-def _antisymmetry(x, y, _z=None):
+def _antisymmetry(angle, square, x, y, _z=None):
     return square(x, y) + square(y, x)
 
 
-# name, residual function, exhaustive argument pattern
+# name, residual over a bracket pair, basis argument pattern, bracket depth
 IDENTITIES = (
-    ("leibniz", _leibniz, "triple"),
-    ("huliu_1", _huliu_1, "triple"),
-    ("huliu_2", _huliu_2, "polarized_pair"),
-    ("huliu_3", _huliu_3, "triple"),
-    ("huliu_4", _huliu_4, "triple"),
-    ("jacobi", _jacobi, "triple"),
-    ("antisymmetry", _antisymmetry, "pair"),
+    ("leibniz", _leibniz, "triple", 2),
+    ("huliu_1", _huliu_1, "triple", 2),
+    ("huliu_2", _huliu_2, "polarized_pair", 2),
+    ("huliu_3", _huliu_3, "triple", 2),
+    ("huliu_4", _huliu_4, "triple", 2),
+    ("jacobi", _jacobi, "triple", 2),
+    ("antisymmetry", _antisymmetry, "pair", 1),
 )
 
 
-def _exhaustive_arguments(alg, pattern):
-    basis = [alg.basis(i) for i in range(alg.dim)]
-    if pattern == "triple":
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    yield x, y, z
-    elif pattern == "pair":
-        for x in basis:
-            for y in basis:
-                yield x, y, None
-    elif pattern == "polarized_pair":
+class _Cleared(dict):
+    """A sparse integer vector with ``+`` and ``-``, the tables' operand."""
+
+    def __add__(self, other):
+        return _Cleared(vec_add(self, other))
+
+    def __sub__(self, other):
+        return _Cleared(vec_add(self, other, -1))
+
+
+def _bracket_tables(alg):
+    """``(angle, square, den)``: the brackets of integer vectors, times ``den``.
+
+    They read tables of ``angle``/``square`` on basis Elements, cleared of
+    their one common denominator ``den``.
+    """
+    basis = list(enumerate(alg.basis(i) for i in range(alg.dim)))
+    entries = {
+        (t, i, j, k): c
+        for t, bracket in enumerate((angle, square))
+        for (i, x), (j, y) in product(basis, repeat=2)
+        for k, c in bracket(x, y).terms.items()
+    }
+    numerators, den = clear_denominators(entries)
+    tables = [[[[] for _ in basis] for _ in basis] for _ in range(2)]
+    for (t, i, j, k), c in numerators.items():
+        tables[t][i][j].append((k, c))
+    return *(lambda u, v, t=t: _Cleared(bilinear(t, u, v)) for t in tables), den
+
+
+def _basis_arguments(dim, pattern):
+    units = [_Cleared({i: 1}) for i in range(dim)]
+    if pattern == "polarized_pair":
         # quadratic in the first argument: checking x = e_i + e_j over all
         # pairs covers the bilinear polarization, so this is complete
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                x = basis[i] + basis[j]
-                for z in basis:
-                    yield x, z, None
-    else:
-        raise ValueError(pattern)
+        return product([x + y for x, y in product(units, repeat=2)], units)
+    return product(units, repeat=3 if pattern == "triple" else 2)
+
+
+def _witness(args, residual):
+    return element_witness(*zip("xyz", args), ("residual", residual))
 
 
 def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
@@ -125,23 +150,33 @@ def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
     Each identity runs over all basis arguments (complete for multilinear
     identities, and polarization-complete for the quadratic one) and then
     over ``trials`` seeded random dense triples, the same triples for every
-    identity.  Residuals are exact; any nonzero residual stores the
-    offending arguments.
+    identity.  The basis phase runs on the integer tables; each identity
+    is homogeneous in bracket depth, so its residual is an integer vector
+    over ``den**depth``.  The random phase runs ``angle``/``square`` on
+    Elements, a cross-check of the tables.  Residuals are exact; any
+    nonzero residual stores the offending arguments.
     """
     rng = random.Random(seed)
     samples = [tuple(random_element(alg, rng) for _ in range(3)) for _ in range(trials)]
+    table_angle, table_square, den = _bracket_tables(alg)
     report = VerificationReport(subject=f"bracket-identities:{alg.name}")
-    for name, func, pattern in IDENTITIES:
+    for name, func, pattern, depth in IDENTITIES:
         check = report.check(name)
-        for x, y, z in chain(_exhaustive_arguments(alg, pattern), samples):
+        for args in _basis_arguments(alg.dim, pattern):
             check.record_trial()
-            residual = func(x, y, z)
+            residual = func(table_angle, table_square, *args)
+            if residual:
+                witness = None
+                if check.witness_wanted:
+                    elements = [Element._from_terms(alg, divided(v, 1)) for v in args]
+                    residual = Element._from_terms(alg, divided(residual, den**depth))
+                    witness = _witness(elements, residual)
+                check.record_failure(witness)
+        for args in samples:
+            check.record_trial()
+            residual = func(angle, square, *args)
             if not residual.is_zero():
-                named = [("x", x), ("y", y)]
-                if z is not None:
-                    named.append(("z", z))
-                named.append(("residual", residual))
-                check.record_failure(element_witness(*named))
+                check.record_failure(_witness(args, residual))
     return report
 
 

@@ -167,12 +167,11 @@ def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algeb
         raise ValueError("duplicate basis index in restriction")
     pos = {orig: new for new, orig in enumerate(keep)}
     triples = []
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            for k, c in alg.mul_row(i, j):
-                if k not in pos:
-                    raise NotClosed(i, j, k)
-                triples.append((a, b, pos[k], c))
+    for i, j, k, c in alg.defn.structconst:
+        if i in pos and j in pos:
+            if k not in pos:
+                raise NotClosed(i, j, k)
+            triples.append((pos[i], pos[j], pos[k], c))
     for k in alg.unit.terms:
         if k not in pos:
             raise NotClosed(0, 0, k)

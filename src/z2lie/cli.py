@@ -225,21 +225,11 @@ def cmd_invert(args):
         element = Element(alg, coeffs)
     except (ValueError, ZeroDivisionError) as exc:
         return _usage_error(f"bad --element: {exc}")
+    doc = {"algebra": alg.name, "element": [str(c) for c in element.coeffs]}
     try:
-        inverse = element.invert()
-        doc = {
-            "algebra": alg.name,
-            "element": [str(c) for c in element.coeffs],
-            "invertible": True,
-            "inverse": [str(c) for c in inverse.coeffs],
-        }
+        doc.update(invertible=True, inverse=[str(c) for c in element.invert().coeffs])
     except NotInvertible as exc:
-        doc = {
-            "algebra": alg.name,
-            "element": [str(c) for c in element.coeffs],
-            "invertible": False,
-            "reason": str(exc),
-        }
+        doc.update(invertible=False, reason=str(exc))
     _emit(_dump(doc), args.output)
     return 0
 

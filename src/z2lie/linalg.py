@@ -40,6 +40,21 @@ def clear_denominators(vec):
     return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
 
 
+def bilinear(table, u, v):
+    """The integer vector ``sum(u[i] * v[j] * table[i][j])``, zeros dropped.
+
+    ``table[i][j]`` is a sparse row ``((k, int), ...)``, as in ``Z2Algebra._rows``.
+    """
+    out = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            ab = a * b
+            for k, c in row[j]:
+                out[k] = out.get(k, 0) + ab * c
+    return {k: c for k, c in out.items() if c}
+
+
 def divided(numerators, den):
     """The vector ``numerators / den`` as ``Fraction``s, zeros dropped."""
     if den == 1:

@@ -25,6 +25,10 @@ class CheckResult:
     def passed(self):
         return self.failure_count == 0
 
+    @property
+    def witness_wanted(self):
+        return len(self.failures) < MAX_WITNESSES
+
     def record_trial(self):
         self.trials += 1
 

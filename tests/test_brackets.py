@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from z2lie.algebra import Element, random_element
+from z2lie.algebra import Element, random_element, validate_z2
 from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
 from z2lie.brackets import (
+    IDENTITIES,
+    _bracket_tables,
     angle,
     generate_subalgebra,
     square,
     verify_identities,
 )
-from z2lie.catalog import catalog_algebra
+from z2lie.catalog import CATALOG_NAMES, catalog_algebra
+from z2lie.linalg import divided
+from z2lie.report import VerificationReport, element_witness
 
 ASSOCIATIVE_EIGHT = ("R", "C", "H", "R2", "C2", "C-2", "H2", "H-2")
 
@@ -98,6 +103,63 @@ def test_identities_on_octonion_type():
         failing = report.find("leibniz")
         assert failing.failures, "failures must carry witnesses"
         assert "residual" in failing.failures[0]
+
+
+# failures of verify_identities(alg, trials=0) on basis arguments; every
+# identity not listed has none, on every catalog algebra
+EXHAUSTIVE_FAILURES = {
+    "O2": {"leibniz": 336, "huliu_3": 504, "jacobi": 672},
+    "O-2": {"leibniz": 240, "huliu_3": 312, "jacobi": 384},
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_exhaustive_counts_are_pinned(name):
+    alg = catalog_algebra(name)
+    report = verify_identities(alg, trials=0)
+    assert [c.name for c in report.checks] == [entry[0] for entry in IDENTITIES]
+    for check in report.checks:
+        # triples and polarized pairs: dim^3 tuples; antisymmetry: dim^2 pairs
+        assert check.trials == alg.dim ** (2 if check.name == "antisymmetry" else 3)
+        assert check.failure_count == EXHAUSTIVE_FAILURES.get(name, {}).get(check.name, 0)
+
+
+def _element_loop_report(alg):
+    """verify_identities(alg, trials=0) as a plain loop over basis Elements."""
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    arguments = {
+        "triple": list(product(basis, repeat=3)),
+        "pair": list(product(basis, repeat=2)),
+        # x = e_i + e_j, which is 2 e_i when i == j
+        "polarized_pair": [(x + y, z) for x, y, z in product(basis, repeat=3)],
+    }
+    report = VerificationReport(subject=f"bracket-identities:{alg.name}")
+    for name, func, pattern, _depth in IDENTITIES:
+        check = report.check(name)
+        for args in arguments[pattern]:
+            check.record_trial()
+            residual = func(angle, square, *args)
+            if not residual.is_zero():
+                check.record_failure(element_witness(*zip("xyz", args), ("residual", residual)))
+    return report.to_json_dict()
+
+
+@pytest.mark.parametrize("name", ["C-2", "O-2", "blockmat(2,1)", "O-2 rescaled"])
+def test_bracket_tables_agree_with_elements(name, rescaled_o_minus_2):
+    if name == "blockmat(2,1)":
+        alg = block_matrix_algebra(2, 1)
+    elif name == "O-2 rescaled":
+        alg = validate_z2(rescaled_o_minus_2)
+    else:
+        alg = catalog_algebra(name)
+    table_angle, table_square, den = _bracket_tables(alg)
+    # the rescaled basis gives fractional constants; the others are integral
+    assert (den > 1) == (name == "O-2 rescaled")
+    for i, j in product(range(alg.dim), repeat=2):
+        e_i, e_j = alg.basis(i), alg.basis(j)
+        assert divided(table_angle({i: 1}, {j: 1}), den) == angle(e_i, e_j).terms
+        assert divided(table_square({i: 1}, {j: 1}), den) == square(e_i, e_j).terms
+    assert verify_identities(alg, trials=0).to_json_dict() == _element_loop_report(alg)
 
 
 def test_identity_report_serializes():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from z2lie.algebra import graded_norm, is_alternative, is_associative, random_element
+from z2lie.blockmodel import block_matrix_algebra
 from z2lie.catalog import (
     CATALOG_NAMES,
     IllegalName,
@@ -132,6 +133,7 @@ def test_restriction_parity_checked():
 def test_associativity_classification():
     for name in ASSOCIATIVE_EIGHT:
         assert is_associative(catalog_algebra(name)), name
+    assert is_associative(block_matrix_algebra(2, 1))
     assert not is_associative(catalog_algebra("O2"))
     assert not is_associative(catalog_algebra("O-2"))
 
@@ -140,6 +142,7 @@ def test_alternative_classification():
     assert is_alternative(catalog_algebra("O2"))
     for name in ASSOCIATIVE_EIGHT:
         assert is_alternative(catalog_algebra(name)), name
+    assert is_alternative(block_matrix_algebra(2, 1))
     # The twist -1 tables are not alternative, despite the stated claim:
     # with x = e05 + e12 and y = e03 the law x(xy) = (xx)y fails.  The
     # exhaustive basis-triple check is the oracle here; see the acceptance

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from z2lie.algebra import AlgebraDef, validate_z2
+from z2lie.algebra import AlgebraDef, save_algebra, validate_z2
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
 from z2lie.cli import main
 
@@ -396,4 +396,17 @@ def test_definition_file_report_matches_golden_digest(tmp_path):
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "d2cb5e7ae8387d6ae2bce725b89bddbc04548cc7d1e00c8f1e781f733e034a70"
+    )
+
+
+def test_fractional_definition_report_matches_golden_digest(tmp_path, rescaled_o_minus_2):
+    # the only digest whose residual witnesses are not integers (one reads
+    # 8/3): every catalog and block table has common denominator 1
+    defn = tmp_path / "rescaled.json"
+    save_algebra(rescaled_o_minus_2, defn)
+    out = tmp_path / "report"
+    assert main(["verify", str(defn), "--trials", "20", "-o", str(out)]) == 0
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "d2b77fada1bbcade297d79f6108db0929140f07be6c0265e63ea9e94016fd9d8"
     )
