@@ -14,11 +14,12 @@ and the identity element is required to be purely even.  Violations are
 reported index by index rather than as a bare boolean, since the point of
 this module is machine verification.
 
-All arithmetic is exact over ``fractions.Fraction``.  An :class:`Element`
-stores the sparse vector format of :mod:`linalg` (``{index: Fraction}``
-with no zeros), so products, spans and the inverse's linear system share
-one format; its dense ``coeffs`` view serves reports and the CLI.  A product
-sums Python ints (factors and structure constants with cleared denominators).
+All arithmetic is exact over ints and ``Fraction``s (:func:`linalg.exact`).
+An :class:`Element` is a :class:`linalg.ExactVector` (``{index: int or
+Fraction}`` with no zeros), so products, spans and the inverse's linear
+system share one format; its dense ``coeffs`` view serves reports and the
+CLI.  A product sums Python ints (factors and structure constants with
+cleared denominators).
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from fractions import Fraction
 from itertools import product
 from math import sqrt
 
-from .linalg import bilinear, clear_denominators, divided, solve_columns, vec_add
+from .linalg import (
+    ExactVector, bilinear, clear_denominators, divided, exact, solve_columns, vec_add
+)
 
 
 class AlgebraError(Exception):
@@ -75,15 +78,6 @@ class AlgebraFormatError(AlgebraError):
 MAX_DIM = 64
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    # bool is an int subclass, but True is not the rational 1 in a definition
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 @dataclass(frozen=True)
 class AlgebraDef:
     """Plain definition data: basis size, parities, structure constants, unit.
@@ -119,11 +113,11 @@ class AlgebraDef:
                     f"structure constant index ({i!r}, {j!r}, {k!r}) is not "
                     f"an int triple in range({dim})"
                 )
-            coeffs[i, j, k] = coeffs.get((i, j, k), 0) + _as_fraction(c)
+            coeffs[i, j, k] = coeffs.get((i, j, k), 0) + exact(c)
         triples = tuple((*ijk, c) for ijk, c in sorted(coeffs.items()) if c)
         object.__setattr__(self, "parity", tuple(self.parity))
         object.__setattr__(self, "structconst", triples)
-        object.__setattr__(self, "unit", tuple(_as_fraction(c) for c in self.unit))
+        object.__setattr__(self, "unit", tuple(exact(c) for c in self.unit))
 
     def to_json_dict(self):
         return {
@@ -227,9 +221,7 @@ class Z2Algebra:
     # -- constructors -----------------------------------------------------
 
     def basis(self, i):
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[i] = Fraction(1)
-        return Element(self, coeffs)
+        return Element._from_terms(self, {i: 1})
 
     def zero(self):
         return Element._from_terms(self, {})
@@ -247,19 +239,19 @@ def validate_z2(defn: AlgebraDef) -> Z2Algebra:
     return Z2Algebra(defn)
 
 
-class Element:
+class Element(ExactVector):
     """Exact rational vector over an algebra basis.
 
-    ``terms`` is the sparse vector of :mod:`linalg` (basis index to nonzero
-    ``Fraction``, never mutated), and ``coeffs`` a read-only dense view for
-    reports and the CLI.  The constructor validates a dense coefficient
+    ``terms`` is the :class:`linalg.ExactVector` (basis index to nonzero int
+    or ``Fraction``, never mutated), and ``coeffs`` a read-only dense view
+    for reports and the CLI.  The constructor validates a dense coefficient
     sequence from outside; canonical results skip it via :meth:`_from_terms`.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, coeffs):
-        coeffs = [_as_fraction(c) for c in coeffs]
+        coeffs = [exact(c) for c in coeffs]
         if len(coeffs) != algebra.dim:
             raise ValueError("coefficient vector length must equal dim")
         self.algebra = algebra
@@ -267,7 +259,7 @@ class Element:
 
     @classmethod
     def _from_terms(cls, algebra, terms):
-        """An Element taking ``terms`` as is: Fraction values, no zeros."""
+        """An Element taking ``terms`` as is: int or Fraction values, no zeros."""
         out = object.__new__(cls)
         out.algebra = algebra
         out.terms = terms
@@ -275,11 +267,13 @@ class Element:
 
     @property
     def coeffs(self):
-        """Dense coefficient tuple, one Fraction per basis vector."""
-        terms, zero = self.terms, Fraction(0)
-        return tuple(terms.get(i, zero) for i in range(self.algebra.dim))
+        """Dense coefficient tuple, one int or Fraction per basis vector."""
+        return tuple(self.terms.get(i, 0) for i in range(self.algebra.dim))
 
-    # -- helpers ----------------------------------------------------------
+    # -- ExactVector hooks ---------------------------------------------------
+
+    def _like(self, terms):
+        return Element._from_terms(self.algebra, terms)
 
     def _compatible(self, other):
         if not isinstance(other, Element):
@@ -289,26 +283,8 @@ class Element:
                 f"elements of {self.algebra.name} and {other.algebra.name}"
             )
 
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other):
-        self._compatible(other)
-        return Element._from_terms(self.algebra, vec_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return Element._from_terms(self.algebra, vec_add(self.terms, other.terms, -1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, scalar):
-        scalar = _as_fraction(scalar)
-        terms = {i: scalar * c for i, c in self.terms.items()} if scalar else {}
-        return Element._from_terms(self.algebra, terms)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+    def _odd(self, i):
+        return self.algebra.parity[i]
 
     # -- multiplication -----------------------------------------------------
 
@@ -321,23 +297,6 @@ class Element:
         right, den_b = clear_denominators(other.terms)
         out = bilinear(alg._rows, left, right)
         return Element._from_terms(alg, divided(out, den_a * den_b * alg._den))
-
-    # -- grading ------------------------------------------------------------
-
-    def even_part(self):
-        parity = self.algebra.parity
-        return Element._from_terms(
-            self.algebra, {i: c for i, c in self.terms.items() if not parity[i]}
-        )
-
-    def odd_part(self):
-        parity = self.algebra.parity
-        return Element._from_terms(
-            self.algebra, {i: c for i, c in self.terms.items() if parity[i]}
-        )
-
-    def is_zero(self):
-        return not self.terms
 
     # -- inversion ----------------------------------------------------------
 
@@ -406,14 +365,10 @@ def is_alternative(alg: Z2Algebra) -> bool:
 
 def part_norms_squared(a: Element):
     """Exact squared Euclidean norms of the even and odd components."""
-    even = Fraction(0)
-    odd = Fraction(0)
+    sums = [Fraction(0), Fraction(0)]
     for i, c in a.terms.items():
-        if a.algebra.parity[i] == 0:
-            even += c * c
-        else:
-            odd += c * c
-    return even, odd
+        sums[a.algebra.parity[i]] += c * c
+    return tuple(sums)
 
 
 def graded_norm(a: Element) -> float:
@@ -426,32 +381,31 @@ def graded_norm(a: Element) -> float:
     return sqrt(even) + sqrt(odd)
 
 
-def random_rational(rng, max_num=3, denominators=(1, 2, 3)):
-    return Fraction(rng.randint(-max_num, max_num), rng.choice(denominators))
+def random_rational(rng):
+    """A numerator in -3..3 over a denominator in 1, 2, 3."""
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
 
 
-def random_element(alg, rng, max_num=3, denominators=(1, 2, 3)):
+def random_element(alg, rng):
     """Dense random exact element with small numerators and denominators."""
-    return Element(
-        alg, [random_rational(rng, max_num, denominators) for _ in range(alg.dim)]
-    )
+    return Element(alg, [random_rational(rng) for _ in range(alg.dim)])
 
 
-def random_element_nonzero_even(alg, rng, **kw):
+def random_element_nonzero_even(alg, rng):
     while True:
-        a = random_element(alg, rng, **kw)
+        a = random_element(alg, rng)
         if not a.even_part().is_zero():
             return a
 
 
-def random_pure_odd_element(alg, rng, **kw):
+def random_pure_odd_element(alg, rng):
     """Random nonzero purely odd element; None when the odd part is trivial."""
     if not alg.odd_indices:
         return None
     while True:
         coeffs = [Fraction(0)] * alg.dim
         for i in alg.odd_indices:
-            coeffs[i] = random_rational(rng, **kw)
+            coeffs[i] = random_rational(rng)
         a = Element(alg, coeffs)
         if not a.is_zero():
             return a

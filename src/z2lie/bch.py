@@ -8,7 +8,8 @@ letters still die, because even*odd stays odd and odd*odd vanishes.)
 Words with no odd letter are even, words with exactly one are odd.
 
 A :class:`Series` is a finite rational linear combination of such words up
-to a fixed truncation degree, with formal exp, log and geometric inverse.
+to a fixed truncation degree (an int-or-``Fraction`` :class:`linalg.ExactVector`,
+like an algebra ``Element``), with formal exp, log and geometric inverse.
 The central computation is
 
     z = log( E0(u) * exp(x) * E0(u)^-1 * E0(w) * exp(y) * E0(w)^-1 )
@@ -32,7 +33,7 @@ from functools import lru_cache, reduce
 from math import factorial, lcm
 
 from .brackets import angle, square
-from .linalg import clear_denominators, solve_columns, vec_add
+from .linalg import ExactVector, clear_denominators, exact, solve_columns
 
 
 class TruncationMismatch(Exception):
@@ -90,7 +91,7 @@ def _word_product(left, right, truncation):
     return {w: c for w, c in acc.items() if c}
 
 
-class Series:
+class Series(ExactVector):
     """Truncated rational word polynomial in the eight graded generators."""
 
     __slots__ = ("truncation", "terms")
@@ -99,13 +100,11 @@ class Series:
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if len(word) > truncation or sum(letter & 1 for letter in word) >= 2:
-                    continue
-                coeff = coeff if type(coeff) is int else Fraction(coeff)
-                if coeff:
-                    clean[word] = coeff
+        for word, coeff in (terms or {}).items():
+            coeff = exact(coeff)
+            odd_letters = sum(letter & 1 for letter in word)
+            if coeff and len(word) <= truncation and odd_letters < 2:
+                clean[word] = coeff
         self.truncation = truncation
         self.terms = clean
 
@@ -142,9 +141,6 @@ class Series:
     def coefficient(self, word):
         return self.terms.get(tuple(word), Fraction(0))
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -157,9 +153,12 @@ class Series:
             body += f" + ... ({len(items)} terms)"
         return f"Series(N={self.truncation}, {body or '0'})"
 
-    # -- linear operations ----------------------------------------------------
+    # -- ExactVector hooks -------------------------------------------------------
 
-    def _check(self, other):
+    def _like(self, terms):
+        return Series._from_terms(self.truncation, terms)
+
+    def _compatible(self, other):
         if not isinstance(other, Series):
             raise TypeError("expected a Series")
         if other.truncation != self.truncation:
@@ -167,48 +166,20 @@ class Series:
                 f"truncations {self.truncation} and {other.truncation}"
             )
 
-    def __add__(self, other):
-        self._check(other)
-        return Series._from_terms(self.truncation, vec_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, scalar):
-        scalar = Fraction(scalar)
-        scalar = scalar.numerator if scalar.denominator == 1 else scalar
-        terms = {w: scalar * c for w, c in self.terms.items()} if scalar else {}
-        return Series._from_terms(self.truncation, terms)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
+    _odd = staticmethod(_is_odd)
 
     # -- multiplication ---------------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        self._check(other)
+        self._compatible(other)
         n = self.truncation
         (left, den_a), (right, den_b) = _cleared(self.terms), _cleared(other.terms)
         product = Series._from_terms(n, _word_product(left, right, n))
         return product.scale(Fraction(1, den_a * den_b))
 
     # -- grading -------------------------------------------------------------
-
-    def _select(self, keep):
-        return Series._from_terms(
-            self.truncation, {w: c for w, c in self.terms.items() if keep(w)}
-        )
-
-    def even_part(self):
-        return self._select(lambda w: not _is_odd(w))
-
-    def odd_part(self):
-        return self._select(_is_odd)
 
     def degree_component(self, degree):
         return self._select(lambda w: len(w) == degree)
@@ -260,17 +231,14 @@ class Series:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, env, *, one, mul=operator.mul, scale=None):
+    def evaluate(self, env, *, one, scale, mul=operator.mul):
         """Substitute concrete values for the generators.
 
         ``env`` maps generator names ("x0", ...) to values; ``one`` is the
         multiplicative identity of the target, used for the constant term.
-        ``scale(coeff, value)`` applies a rational coefficient; pass one
-        whenever plain ``coeff * value`` is wrong for the target type
-        (e.g. float conversion for numpy arrays).
+        ``scale(coeff, value)`` applies a rational coefficient in the target
+        type (e.g. by float conversion for numpy arrays).
         """
-        if scale is None:
-            scale = lambda c, v: c * v
         acc = None
         for word, coeff in sorted(self.terms.items(), key=lambda kv: _word_key(kv[0])):
             if word:

@@ -22,6 +22,7 @@ from math import ceil, isfinite, log2
 import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, validate_z2
+from .linalg import FractionSpan, exact
 from .report import VerificationReport
 
 EXP_SERIES_TOL = 1e-14
@@ -488,8 +489,6 @@ def correspondence_roundtrip(
 
 
 def _exact_rank(elements):
-    from .linalg import FractionSpan
-
     span = FractionSpan()
     for el in elements:
         span.add(el.terms)
@@ -548,7 +547,7 @@ def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
     coeffs = [Fraction(0)] * len(units)
     for r, row in enumerate(matrix):
         for c, value in enumerate(row):
-            value = Fraction(value)
+            value = exact(value)
             if not value:
                 continue
             if (r, c) not in index:

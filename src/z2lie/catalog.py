@@ -23,7 +23,6 @@ submultiplicativity is checked numerically.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -115,7 +114,7 @@ _ODD_EVEN = (
 
 
 def _signed(entry):
-    return (abs(entry) - 1, Fraction(1 if entry > 0 else -1))
+    return (abs(entry) - 1, 1 if entry > 0 else -1)
 
 
 def octonion_type_def(twist: int) -> AlgebraDef:
@@ -136,14 +135,12 @@ def octonion_type_def(twist: int) -> AlgebraDef:
             k, sign = _signed(entry)
             coeff = sign * twist if has_twist else sign
             triples.append((8 + i, j, 8 + k, coeff))
-    unit = [Fraction(0)] * 16
-    unit[0] = Fraction(1)
     return AlgebraDef(
         name="O2" if twist == 1 else "O-2",
         dim=16,
         parity=(0,) * 8 + (1,) * 8,
         structconst=triples,
-        unit=unit,
+        unit=[1] + [0] * 15,
     )
 
 
@@ -212,49 +209,44 @@ def expected_properties(name: str) -> dict:
     }
 
 
-def composition_check(alg: Z2Algebra, trials=1000, seed=0, tol=1e-12) -> VerificationReport:
+# report check, left and right factor (x0, y0 the even parts of the samples
+# x, y; y1 the odd part of y), and the part (0 even, 1 odd) of their product
+_COMPOSITION_LAWS = (
+    ("even_even_multiplicative_sq", "x0", "y0", 0),
+    ("even_odd_multiplicative_sq", "x0", "y1", 1),
+    ("odd_even_multiplicative_sq", "y1", "x0", 1),
+)
+
+# floating-point slack of the numeric submultiplicativity check
+_SUBMULT_TOL = 1e-12
+
+
+def composition_check(alg: Z2Algebra, trials=1000, seed=0) -> VerificationReport:
     """Norm multiplicativity and submultiplicativity over random samples.
 
-    The even*even and even*odd multiplicativity laws are checked exactly
-    in squared form; submultiplicativity is checked in floating point
-    within ``tol``.
+    The even*even, even*odd and odd*even multiplicativity laws are checked
+    exactly in squared form: the product's squared norm sits in the
+    expected part and equals the product of the factors' squared norms.
+    Submultiplicativity is checked in floating point.
     """
     rng = random.Random(seed)
     report = VerificationReport(subject=f"composition:{alg.name}")
-    even_even = report.check("even_even_multiplicative_sq")
-    even_odd = report.check("even_odd_multiplicative_sq")
-    odd_even = report.check("odd_even_multiplicative_sq")
-    submult = report.check("submultiplicative_numeric", note=f"tol={tol!r}")
+    laws = [(report.check(name), *rest) for name, *rest in _COMPOSITION_LAWS]
+    submult = report.check("submultiplicative_numeric", note=f"tol={_SUBMULT_TOL!r}")
     for _ in range(trials):
         x = random_element(alg, rng)
         y = random_element(alg, rng)
-        x0 = x.even_part()
-        y0 = y.even_part()
-        y1 = y.odd_part()
-        x0_sq = part_norms_squared(x0)[0]
-        y0_sq = part_norms_squared(y0)[0]
-        y1_sq = part_norms_squared(y1)[1]
-
-        even_even.record_trial()
-        prod = x0 * y0
-        lhs = part_norms_squared(prod)[0]
-        if lhs != x0_sq * y0_sq or not prod.odd_part().is_zero():
-            even_even.record_failure(element_witness(("x0", x0), ("y0", y0)))
-
-        even_odd.record_trial()
-        prod = x0 * y1
-        lhs = part_norms_squared(prod)[1]
-        if lhs != x0_sq * y1_sq or not prod.even_part().is_zero():
-            even_odd.record_failure(element_witness(("x0", x0), ("y1", y1)))
-
-        odd_even.record_trial()
-        prod = y1 * x0
-        lhs = part_norms_squared(prod)[1]
-        if lhs != x0_sq * y1_sq or not prod.even_part().is_zero():
-            odd_even.record_failure(element_witness(("y1", y1), ("x0", x0)))
+        factors = {"x0": x.even_part(), "y0": y.even_part(), "y1": y.odd_part()}
+        for check, left, right, part in laws:
+            a, b = factors[left], factors[right]
+            check.record_trial()
+            norms = part_norms_squared(a * b)
+            expected = sum(part_norms_squared(a)) * sum(part_norms_squared(b))
+            if norms[part] != expected or norms[1 - part]:
+                check.record_failure(element_witness((left, a), (right, b)))
 
         submult.record_trial()
-        if graded_norm(x * y) > graded_norm(x) * graded_norm(y) + tol:
+        if graded_norm(x * y) > graded_norm(x) * graded_norm(y) + _SUBMULT_TOL:
             submult.record_failure(element_witness(("x", x), ("y", y)))
     return report
 

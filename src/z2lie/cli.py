@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
@@ -221,8 +220,7 @@ def cmd_invert(args):
     except AlgebraError as exc:
         return _usage_error(exc)
     try:
-        coeffs = [Fraction(part.strip()) for part in args.element.split(",")]
-        element = Element(alg, coeffs)
+        element = Element(alg, [part.strip() for part in args.element.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         return _usage_error(f"bad --element: {exc}")
     doc = {"algebra": alg.name, "element": [str(c) for c in element.coeffs]}

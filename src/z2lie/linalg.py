@@ -1,10 +1,11 @@
 """Exact rational linear algebra over sparse vectors with arbitrary keys.
 
 Vectors are ``dict[key, value]`` mappings with no explicit zeros; values are
-ints or ``Fraction``s.  Keys can be basis indices (small ints) or word
-tuples; the pivot of a vector is its smallest key under a fixed sort order,
+ints or ``Fraction``s, admitted by :func:`exact`.  Keys can be basis indices
+(small ints) or word tuples; the pivot of a vector is its smallest key,
 which makes every elimination deterministic: repeated runs produce
-identical spans, witnesses and reports.
+identical spans, witnesses and reports.  :class:`ExactVector` gives the
+algebra ``Element`` and the word ``Series`` their one linear structure.
 
 :class:`FractionSpan` eliminates fraction-free (Bareiss, Math. Comp. 22
 (1968) 565-578): rows and witnesses are integer vectors, and a step scales
@@ -19,9 +20,22 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def exact(value):
+    """An int or Fraction as given, a string parsed; floats and bools raise.
+
+    A binary float is rarely the rational meant (0.1 is not 1/10), and True
+    is not the number 1 in a definition.
+    """
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
 def vec_add(a, b, scale=1):
     """a + scale*b with exact zeros dropped; int values stay ints for an int scale."""
-    scale = scale if type(scale) is int else Fraction(scale)
+    scale = scale if type(scale) is int else exact(scale)
     out = dict(a)
     for k, v in b.items():
         s = out.get(k, 0) + scale * v
@@ -62,6 +76,51 @@ def divided(numerators, den):
     return {k: Fraction(v, den) for k, v in numerators.items() if v}
 
 
+class ExactVector:
+    """Sums, scalar multiples and even/odd parts of the sparse vector ``terms``.
+
+    A subclass supplies three hooks: ``_like(terms)`` builds a vector of the
+    same space, ``_compatible(other)`` raises unless ``other`` is one, and
+    ``_odd(key)`` gives the parity of a basis key.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        self._compatible(other)
+        return self._like(vec_add(self.terms, other.terms))
+
+    def __sub__(self, other):
+        self._compatible(other)
+        return self._like(vec_add(self.terms, other.terms, -1))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, scalar):
+        """``scalar * self``; an integral scalar acts as an int, keeping int vectors."""
+        scalar = exact(scalar)
+        scalar = scalar.numerator if scalar.denominator == 1 else scalar
+        terms = {k: scalar * c for k, c in self.terms.items()} if scalar else {}
+        return self._like(terms)
+
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _select(self, keep):
+        return self._like({k: c for k, c in self.terms.items() if keep(k)})
+
+    def even_part(self):
+        odd = self._odd
+        return self._select(lambda k: not odd(k))
+
+    def odd_part(self):
+        return self._select(self._odd)
+
+
 class FractionSpan:
     """A linear span kept in echelon form, pivoting on the smallest key.
 
@@ -71,8 +130,7 @@ class FractionSpan:
     an exact witness combination for membership.
     """
 
-    def __init__(self, sort_key=None, track=False):
-        self._key = sort_key  # None: the keys' own order
+    def __init__(self, track=False):
         self._rows: dict = {}    # pivot key -> integer vector
         self._combos: dict = {}  # pivot key -> {insertion index: int}
         self._dens: list = []    # the denominator cleared from each inserted vector
@@ -85,7 +143,7 @@ class FractionSpan:
     def rows(self):
         """Echelon rows in pivot order (each pivot coefficient is 1)."""
         rows = self._rows
-        return [divided(rows[p], rows[p][p]) for p in sorted(rows, key=self._key)]
+        return [divided(rows[p], rows[p][p]) for p in sorted(rows)]
 
     def _eliminate(self, work, scale):
         """Reduce the integer vector ``work``, standing for ``work / scale``.
@@ -93,7 +151,7 @@ class FractionSpan:
         Returns integers ``(residual, combo, scale)`` with ``scale * vec =
         residual + sum(combo[i] * inserted_i * self._dens[i])``.
         """
-        order = sorted(work, key=self._key)
+        order = sorted(work)
         pos, residual, combo = 0, {}, {}
         while pos < len(order):
             key = order[pos]
@@ -117,7 +175,7 @@ class FractionSpan:
                 if k != key:
                     if k not in work:
                         # introduced keys are strictly larger than `key`
-                        insort(order, k, lo=pos, key=self._key)
+                        insort(order, k, lo=pos)
                     work[k] = work.get(k, 0) - coeff * v
             if self._track:
                 for idx, v in self._combos[key].items():
@@ -143,7 +201,7 @@ class FractionSpan:
         residual, combo, scale = self._eliminate(work, 1)
         if not residual:
             return False
-        pivot = min(residual, key=self._key)
+        pivot = min(residual)
         # residual = scale * cleared_new - sum(combo[i] * cleared_i)
         combo = {i: -v for i, v in combo.items()}
         if self._track:
@@ -159,13 +217,13 @@ class FractionSpan:
         return not self.reduce(vec)[0]
 
 
-def solve_columns(columns, target, sort_key=None):
+def solve_columns(columns, target):
     """Solve ``sum_j c_j * columns[j] = target`` exactly.
 
     Returns the coefficient list (one deterministic witness when the
     system is underdetermined) or None when no exact solution exists.
     """
-    span = FractionSpan(sort_key=sort_key, track=True)
+    span = FractionSpan(track=True)
     for col in columns:
         span.add(col)
     residual, combo = span.reduce(target)

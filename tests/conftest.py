@@ -1,4 +1,5 @@
-# ensures bch_oracle.py is importable regardless of invocation directory
+"""Fixtures shared by the test modules."""
+
 from fractions import Fraction
 
 import pytest

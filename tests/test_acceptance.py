@@ -108,8 +108,9 @@ def test_criterion_03_division():
 @criterion(4, "composition: exact squared-norm equalities on 1000 samples, submult within 1e-12")
 def test_criterion_04_composition():
     for name in CATALOG_NAMES:
-        report = composition_check(catalog_algebra(name), trials=1000, seed=0, tol=1e-12)
+        report = composition_check(catalog_algebra(name), trials=1000, seed=0)
         assert report.passed, (name, [c.name for c in report.checks if not c.passed])
+        assert report.find("submultiplicative_numeric").note == "tol=1e-12"
         for check in report.checks:
             assert check.trials == 1000
 

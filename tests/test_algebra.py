@@ -22,6 +22,7 @@ from z2lie.algebra import (
     random_element,
     validate_z2,
 )
+from z2lie.bch import Series
 from z2lie.blockmodel import block_matrix_algebra
 from z2lie.catalog import catalog_algebra
 
@@ -179,15 +180,40 @@ def test_algebra_mismatch():
         a * b
 
 
-def test_float_scalars_rejected():
-    alg = catalog_algebra("C")
+# one exactness rule for both kinds of exact vector: (c0, c1) -> vector
+_VECTOR_KINDS = {
+    "Element": lambda c0, c1: Element(catalog_algebra("C"), [c0, c1]),
+    "Series": lambda c0, c1: Series(1, {(0,): c0, (1,): c1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VECTOR_KINDS))
+def test_float_scalars_rejected(kind):
+    make = _VECTOR_KINDS[kind]
     with pytest.raises(TypeError):
-        Element(alg, [1.0, 2.0])
-    a = Element(alg, [1, 2])
+        make(1.0, 2)
+    with pytest.raises(TypeError):
+        make(1, True)
+    a = make(1, 2)
     with pytest.raises(TypeError):
         a.scale(0.5)
     with pytest.raises(TypeError):
         a * 0.5
+    with pytest.raises(TypeError):
+        0.5 * a
+    # integral scalars keep int coefficients, strings parse exactly
+    assert all(type(c) is int for c in (3 * a - a).terms.values())
+    assert make("1/3", "0.5") == make(Fraction(1, 3), Fraction(1, 2))
+
+
+def test_int_coefficients_match_their_fraction_twin():
+    alg = catalog_algebra("H-2")
+    ints = Element(alg, [(-1) ** i * i for i in range(alg.dim)])
+    fracs = Element(alg, [Fraction((-1) ** i * i) for i in range(alg.dim)])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert repr(ints) == repr(fracs)
+    assert ints * fracs == fracs * fracs
+    assert ints.invert() == fracs.invert()
 
 
 def test_json_roundtrip(tmp_path):

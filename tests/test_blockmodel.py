@@ -276,3 +276,5 @@ def test_block_matrix_algebra_exact_shadow():
     ]
     with pytest.raises(ValueError):
         block_matrix_element(alg, shape, [[0] * 4, [0] * 4, [Fraction(1), 0, 0, 0], [0] * 4])
+    with pytest.raises(TypeError):
+        block_matrix_element(alg, shape, [[0.5, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4])

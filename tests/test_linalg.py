@@ -3,7 +3,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2lie.bch import _word_key
 from z2lie.linalg import FractionSpan, solve_columns, vec_add
 
 
@@ -61,15 +60,6 @@ def test_solve_columns_deterministic_witness():
     ]
 
 
-def test_word_keys_sort_by_length_then_lex():
-    key = lambda w: (len(w), w)
-    span = FractionSpan(sort_key=key)
-    span.add({(0, 1): Fraction(1), (1,): Fraction(1)})
-    # pivot must be the shorter word
-    residual, _ = span.reduce({(1,): Fraction(2)})
-    assert residual == {(0, 1): Fraction(-2)}
-
-
 def _plain_rank(vectors, keys):
     """Rank by textbook Fraction Gaussian elimination on dense rows."""
     rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vectors]
@@ -89,15 +79,15 @@ def _plain_rank(vectors, keys):
 
 _RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
 _KEY_KINDS = {
-    # basis indices in their own order, words by length then lexicographically
-    "ints": (st.integers(0, 5), None),
-    "words": (st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple), _word_key),
+    # basis indices and word tuples, each in their own order
+    "ints": st.integers(0, 5),
+    "words": st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
 }
 
 
 @st.composite
 def _systems(draw):
-    keys, sort_key = _KEY_KINDS[draw(st.sampled_from(sorted(_KEY_KINDS)))]
+    keys = _KEY_KINDS[draw(st.sampled_from(sorted(_KEY_KINDS)))]
     vectors = st.dictionaries(keys, _RATIONALS, max_size=5).map(
         lambda v: {k: c for k, c in v.items() if c}
     )
@@ -109,15 +99,15 @@ def _systems(draw):
             target = vec_add(target, col, draw(_RATIONALS))
     else:
         target = draw(vectors)
-    return columns, target, sort_key
+    return columns, target
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_systems())
 def test_fraction_free_span_matches_plain_elimination(system):
-    columns, target, sort_key = system
-    keys = sorted({k for v in [*columns, target] for k in v}, key=sort_key)
-    solution = solve_columns(columns, target, sort_key=sort_key)
+    columns, target = system
+    keys = sorted({k for v in [*columns, target] for k in v})
+    solution = solve_columns(columns, target)
     solvable = _plain_rank(columns, keys) == _plain_rank([*columns, target], keys)
     assert (solution is None) == (not solvable)
     if solution is not None:
@@ -126,13 +116,13 @@ def test_fraction_free_span_matches_plain_elimination(system):
             total = vec_add(total, col, c)
         assert total == target
 
-    span = FractionSpan(sort_key=sort_key, track=True)
+    span = FractionSpan(track=True)
     for col in columns:
         span.add(col)
     assert span.dim == _plain_rank(columns, keys)
     rows = span.rows()
-    pivots = [min(row, key=sort_key) for row in rows]
-    assert pivots == sorted(set(pivots), key=sort_key)
+    pivots = [min(row) for row in rows]
+    assert pivots == sorted(set(pivots))
     for pivot, row in zip(pivots, rows):
         assert row[pivot] == 1
         assert all(type(c) is Fraction and c for c in row.values())

@@ -1,0 +1,74 @@
+"""Static checks on the package source: no unused imports, no dead private names.
+
+They parse ``src/z2lie`` with :mod:`ast` and catch what a deletion leaves
+behind: an import nothing uses any more, or a private helper nothing calls.
+"""
+
+import ast
+from pathlib import Path
+
+import z2lie
+
+_SOURCES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(Path(z2lie.__file__).parent.glob("*.py"))
+}
+
+
+def _loaded_names(tree):
+    """Every name read in ``tree``, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _SOURCES.items():
+        if module == "__init__.py":
+            continue  # re-exports the public API
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}: {bound}")
+    assert not unused
+
+
+def _defined(body):
+    """Names bound at the top of a module or class body by def, class or =."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_every_private_name_is_referenced():
+    used = set().union(*map(_loaded_names, _SOURCES.values()))
+    dead = []
+    for module, tree in _SOURCES.items():
+        scopes = [("", tree.body)] + [
+            (f"{node.name}.", node.body)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        ]
+        for prefix, body in scopes:
+            dead += [
+                f"{module}: {prefix}{name}"
+                for name in _defined(body)
+                if _is_private(name) and name not in used
+            ]
+    assert not dead
