@@ -221,6 +221,8 @@ class Z2Algebra:
     # -- constructors -----------------------------------------------------
 
     def basis(self, i):
+        if i not in range(self.dim):
+            raise IndexError(f"basis index {i!r} is outside range({self.dim})")
         return Element._from_terms(self, {i: 1})
 
     def zero(self):

@@ -22,6 +22,8 @@ from math import ceil, isfinite, log2
 import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, validate_z2
+from .bch import GENERATOR_NAMES, extended_bch
+from .brackets import generate_subalgebra
 from .linalg import FractionSpan, exact
 from .report import VerificationReport
 
@@ -177,16 +179,8 @@ def mat_log(g: BlockMatElement) -> BlockMatElement:
 def evaluate_series(series, x, y, u, w) -> BlockMatElement:
     """Substitute block matrices for the generators of a word series."""
     shape = x.shape
-    env = {
-        "x0": x.even().mat,
-        "x1": x.odd().mat,
-        "y0": y.even().mat,
-        "y1": y.odd().mat,
-        "u0": u.even().mat,
-        "u1": u.odd().mat,
-        "w0": w.even().mat,
-        "w1": w.odd().mat,
-    }
+    parts = (part.mat for el in (x, y, u, w) for part in (el.even(), el.odd()))
+    env = dict(zip(GENERATOR_NAMES, parts))
     mat = series.evaluate(
         env,
         one=np.eye(shape.n),
@@ -216,8 +210,6 @@ def bch_residual(x, y, u, w, degree: int) -> float:
     given matrices, exponentiates, and measures the distance to
     E0(exp u) exp(x) E0(exp u)^-1 E0(exp w) exp(y) E0(exp w)^-1.
     """
-    from .bch import extended_bch
-
     for el in (x, y, u, w):
         if el.opnorm() > 0.2 + 1e-12:
             raise ValueError("inputs must have operator norm at most 0.2")
@@ -228,8 +220,6 @@ def bch_residual(x, y, u, w, degree: int) -> float:
 
 def bch_log_residual(x, y, u, w, degree: int) -> float:
     """Distance in log coordinates: series value vs direct mat_log of the product."""
-    from .bch import extended_bch
-
     z = evaluate_series(extended_bch(degree), x, y, u, w)
     lhs = _group_product(x, y, u, w)
     return (z - mat_log(lhs)).opnorm()
@@ -303,19 +293,17 @@ def sample_xi_group(generators, budget, rng):
         # dim(L) + 1 can span the tangent space
         if kind == 0 or len(elements) <= len(generators):
             coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * SAMPLE_STEP
-            a = BlockMatElement.zero(shape)
-            for c, g in zip(coeffs, generators):
-                a = a + g.scale(c)
-            candidate = mat_exp(a)
-        elif kind == 1:
-            i = int(rng.integers(0, len(elements)))
-            j = int(rng.integers(0, len(elements)))
-            candidate = elements[i] @ elements[j]
+            terms = (float(c) * g.mat for c, g in zip(coeffs, generators))
+            exponent = sum(terms, np.zeros((shape.n, shape.n)))
+            candidate = mat_exp(BlockMatElement(shape, exponent))
         else:
             i = int(rng.integers(0, len(elements)))
             j = int(rng.integers(0, len(elements)))
-            g0 = elements[i].even()
-            candidate = g0 @ elements[j] @ even_inverse(g0)
+            if kind == 1:
+                candidate = elements[i] @ elements[j]
+            else:
+                g0 = elements[i].even()
+                candidate = g0 @ elements[j] @ even_inverse(g0)
         if (candidate - identity).opnorm() < SAMPLE_LOG_MARGIN:
             elements.append(candidate)
     return XiGroupSample(generators=list(generators), elements=elements)
@@ -425,8 +413,6 @@ def correspondence_roundtrip(
     angles stay within ``tol``.  Conjugation closure is checked within
     ``closure_tol``.
     """
-    from .brackets import generate_subalgebra
-
     if not all(isfinite(t) and t >= 0 for t in (tol, closure_tol)):
         raise ValueError("tolerances must be finite and nonnegative")
     report = VerificationReport(
@@ -448,12 +434,7 @@ def correspondence_roundtrip(
         closure.note = "vacuous: empty basis"
         dim_l = 0
 
-    float_gens = [
-        BlockMatElement(
-            shape, np.array([[float(c) for c in row] for row in m])
-        )
-        for m in exact_generators
-    ]
+    float_gens = [BlockMatElement(shape, m) for m in exact_generators]
     if float_gens:
         rng = np.random.default_rng(seed)
         sample = sample_xi_group(float_gens, budget, rng)

@@ -38,12 +38,6 @@ from .bch import (
     extended_bch,
     format_bracket_series,
 )
-from .blockmodel import (
-    BlockShape,
-    block_matrix_units,
-    correspondence_roundtrip,
-    unit_matrices,
-)
 from .brackets import verify_identities
 from .catalog import (
     CATALOG_NAMES,
@@ -174,6 +168,14 @@ def cmd_bch(args):
 
 
 def cmd_correspond(args):
+    # only the numeric model needs numpy; the exact commands never load it
+    from .blockmodel import (
+        BlockShape,
+        block_matrix_units,
+        correspondence_roundtrip,
+        unit_matrices,
+    )
+
     if not (math.isfinite(args.tol) and args.tol >= 0):
         return _usage_error("--tol must be a finite nonnegative number")
     try:

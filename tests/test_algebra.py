@@ -114,6 +114,13 @@ def test_table_products():
     assert f(8) * f(4) == -1 * f(12)    # e11*e05 = -e15 at twist -1
 
 
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_basis_index_out_of_range(index):
+    alg = catalog_algebra("C")
+    with pytest.raises(IndexError, match=r"range\(2\)"):
+        alg.basis(index)
+
+
 def test_unit_is_identity():
     alg = catalog_algebra("H2")
     rng = random.Random(3)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import z2lie
 from z2lie.algebra import AlgebraDef, save_algebra, validate_z2
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
 from z2lie.cli import main
@@ -334,6 +339,36 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, argv, target):
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 2
     assert main([]) == 2
+
+
+_NUMPY_BOUNDARY_CHILD = """
+import contextlib, io, json, sys
+from z2lie.cli import main
+
+exact = [
+    ["catalog", "H"],
+    ["verify", "C", "--trials", "2"],
+    ["bch", "--degree", "2"],
+    ["invert", "R2", "--element", "2,3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in exact]
+    exact_loaded = "numpy" in sys.modules
+    correspond = main(["correspond", "--shape", "1,1", "--trials", "4"])
+print(json.dumps([codes, exact_loaded, correspond, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_commands_do_not_import_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(z2lie.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BOUNDARY_CHILD],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    codes, exact_loaded, correspond, correspond_loaded = json.loads(child.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert not exact_loaded
+    assert correspond == 0 and correspond_loaded
 
 
 def test_cli_determinism_small(tmp_path):

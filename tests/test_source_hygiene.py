@@ -1,4 +1,4 @@
-"""Static checks on the package source: no unused imports, no dead private names.
+"""Static checks on the package source: top-level used imports, no dead private names.
 
 They parse ``src/z2lie`` with :mod:`ast` and catch what a deletion leaves
 behind: an import nothing uses any more, or a private helper nothing calls.
@@ -33,8 +33,6 @@ def _is_private(name):
 def test_every_import_is_used():
     unused = []
     for module, tree in _SOURCES.items():
-        if module == "__init__.py":
-            continue  # re-exports the public API
         used = _loaded_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -45,6 +43,25 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{module}: {bound}")
     assert not unused
+
+
+# the one (module, function, imported module) import inside a function:
+# numpy is loaded only for correspond
+_FUNCTION_IMPORTS = {("cli.py", "cmd_correspond", "blockmodel")}
+
+
+def test_imports_sit_at_module_top():
+    nested = set()
+    for module, tree in _SOURCES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    nested.add((module, func.name, node.module))
+                elif isinstance(node, ast.Import):
+                    nested |= {(module, func.name, alias.name) for alias in node.names}
+    assert nested == _FUNCTION_IMPORTS
 
 
 def _defined(body):
