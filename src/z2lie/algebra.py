@@ -310,14 +310,28 @@ class Element(ExactVector):
         is not redundant because non-associative algebras are admitted.
         """
         alg = self.algebra
-        columns = [(self * alg.basis(j)).terms for j in range(alg.dim)]
-        solution = solve_columns(columns, alg.unit.terms)
+        # the columns are cleared of one denominator, so the target is too
+        columns, den = self._left_columns()
+        target = {k: den * c for k, c in alg.unit.terms.items()}
+        solution = solve_columns(columns, target)
         if solution is None:
             raise NotInvertible("left-multiplication system is singular")
         candidate = Element(alg, solution)
         if candidate * self != alg.unit:
             raise NotInvertible("left inverse fails the right product check")
         return candidate
+
+    def _left_columns(self):
+        """Integer columns ``(self * e_j) * den`` for every j, and ``den``.
+
+        One pass over ``Z2Algebra._rows`` with ``self`` cleared once, in
+        place of ``dim`` Element products that each clear and restore
+        denominators.
+        """
+        alg = self.algebra
+        left, den = clear_denominators(self.terms)
+        columns = [bilinear(alg._rows, left, {j: 1}) for j in range(alg.dim)]
+        return columns, den * alg._den
 
     # -- comparisons ----------------------------------------------------------
 

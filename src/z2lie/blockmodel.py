@@ -131,14 +131,25 @@ def even_inverse(el: BlockMatElement) -> BlockMatElement:
     p = el.shape.p
     if np.any(el.mat[:p, p:] != 0.0):
         raise ValueError("even_inverse expects a purely even element")
-    out = np.zeros_like(el.mat)
-    out[:p, :p] = np.linalg.inv(el.mat[:p, :p])
-    out[p:, p:] = np.linalg.inv(el.mat[p:, p:])
-    return BlockMatElement(el.shape, out)
+    return BlockMatElement(el.shape, _even_inverses(el.mat, p))
+
+
+def _even_inverses(evens, p):
+    """Blockwise inverses of one even matrix or a stack of them."""
+    out = np.zeros_like(evens)
+    out[..., :p, :p] = np.linalg.inv(evens[..., :p, :p])
+    out[..., p:, p:] = np.linalg.inv(evens[..., p:, p:])
+    return out
 
 
 def mat_exp(a: BlockMatElement) -> BlockMatElement:
-    """Matrix exponential by scaling and squaring with a series kernel."""
+    """Matrix exponential by scaling and squaring with a series kernel.
+
+    The series stops at the first term whose Frobenius norm is below
+    ``EXP_SERIES_TOL``.  The Frobenius norm bounds the operator norm from
+    above, so this stop is at least as strict as one on the operator norm,
+    and it costs O(n^2) where the operator norm costs an SVD.
+    """
     norm = a.opnorm()
     squarings = max(0, int(ceil(log2(norm / 0.5))) if norm > 0.5 else 0)
     t = a.mat / (2.0 ** squarings)
@@ -147,33 +158,56 @@ def mat_exp(a: BlockMatElement) -> BlockMatElement:
     for k in range(1, 80):
         term = term @ t / k
         acc = acc + term
-        if np.linalg.norm(term, 2) < EXP_SERIES_TOL:
+        if np.linalg.norm(term) < EXP_SERIES_TOL:
             break
     for _ in range(squarings):
         acc = acc @ acc
     return BlockMatElement(a.shape, acc)
 
 
+def log_stack(gs):
+    """Principal logarithms of a stack ``gs`` (m, n, n) by the series on g - I.
+
+    Requires the operator norm of every g - I to be below 1, checked by one
+    batched SVD; raises LogOutOfDomain otherwise, or when a series fails to
+    converge to the kernel tolerance within the term budget.
+
+    Each member's series stops at the first term whose Frobenius norm is
+    below ``EXP_SERIES_TOL``, and its sum is frozen there, so a member gets
+    exactly the terms it would get alone.  The Frobenius norm bounds the
+    operator norm from above, so this stop is at least as strict as one on
+    the operator norm, and it costs O(n^2) where the operator norm costs an
+    SVD.  Powers of block upper-triangular matrices keep an exactly zero
+    lower-left block, and so do the logarithms.
+    """
+    d = gs - np.eye(gs.shape[-1])
+    dnorms = np.linalg.norm(d, 2, axis=(1, 2))
+    if np.any(dnorms >= 1.0):
+        raise LogOutOfDomain(f"norm of g - I is {dnorms.max():.3f}, must be < 1")
+    out = np.empty_like(d)
+    live = np.arange(len(d))
+    acc = np.zeros_like(d)
+    power = d
+    for k in range(1, LOG_MAX_TERMS + 1):
+        acc += power / k if k % 2 else -power / k
+        done = np.linalg.norm(power, axis=(1, 2)) / k < EXP_SERIES_TOL
+        if done.any():
+            out[live[done]] = acc[done]
+            live, d, acc, power = (x[~done] for x in (live, d, acc, power))
+        if not live.size:
+            return out
+        power = power @ d
+    raise LogOutOfDomain("log series did not converge within the term budget")
+
+
 def mat_log(g: BlockMatElement) -> BlockMatElement:
-    """Principal matrix logarithm via the series on g - I.
+    """Principal matrix logarithm: :func:`log_stack` on a stack of one.
 
     Requires the operator norm of g - I to be below 1; raises
     LogOutOfDomain otherwise (or when the series fails to converge to the
     kernel tolerance within the term budget).
     """
-    d = g.mat - np.eye(g.shape.n)
-    dnorm = np.linalg.norm(d, 2)
-    if dnorm >= 1.0:
-        raise LogOutOfDomain(f"norm of g - I is {dnorm:.3f}, must be < 1")
-    acc = np.zeros_like(d)
-    power = np.eye(g.shape.n)
-    for k in range(1, LOG_MAX_TERMS + 1):
-        power = power @ d
-        term = power / k if k % 2 else -power / k
-        acc = acc + term
-        if np.linalg.norm(power, 2) / k < EXP_SERIES_TOL:
-            return BlockMatElement(g.shape, acc)
-    raise LogOutOfDomain("log series did not converge within the term budget")
+    return BlockMatElement(g.shape, log_stack(g.mat[np.newaxis])[0])
 
 
 def evaluate_series(series, x, y, u, w) -> BlockMatElement:
@@ -261,17 +295,16 @@ class XiGroupSample:
     elements: list
 
     def __post_init__(self):
-        p = None
-        for el in self.elements:
-            p = el.shape.p
-            if el.opnorm() > SAMPLE_NORM_BOUND:
-                raise ValueError("sample element exceeds the norm bound")
-            even = el.even().mat
-            if (
-                abs(np.linalg.det(even[:p, :p])) < 1e-12
-                or abs(np.linalg.det(even[p:, p:])) < 1e-12
-            ):
-                raise ValueError("sample element has a singular even part")
+        if not self.elements:
+            return
+        p = self.elements[0].shape.p
+        mats = np.stack([el.mat for el in self.elements])
+        if np.any(np.linalg.norm(mats, 2, axis=(1, 2)) > SAMPLE_NORM_BOUND):
+            raise ValueError("sample element exceeds the norm bound")
+        # the diagonal blocks of an element are those of its even part
+        dets = (np.linalg.det(mats[:, :p, :p]), np.linalg.det(mats[:, p:, p:]))
+        if any(np.any(np.abs(det) < 1e-12) for det in dets):
+            raise ValueError("sample element has a singular even part")
 
 
 def sample_xi_group(generators, budget, rng):
@@ -283,29 +316,34 @@ def sample_xi_group(generators, budget, rng):
     if not generators:
         raise ValueError("no generators; use trivial_sample for the trivial group")
     shape = generators[0].shape
-    identity = BlockMatElement.identity(shape)
-    elements = [identity]
+    p = shape.p
+    identity = np.eye(shape.n)
+    # raw matrices, wrapped once at the end; every product keeps the
+    # lower-left block exactly zero
+    mats = [identity]
     attempts = 0
-    while len(elements) < budget and attempts < 20 * budget:
+    while len(mats) < budget and attempts < 20 * budget:
         attempts += 1
         kind = int(rng.integers(0, 3))
         # fresh exponentials until there are dim(L) of them, so a budget of
         # dim(L) + 1 can span the tangent space
-        if kind == 0 or len(elements) <= len(generators):
+        if kind == 0 or len(mats) <= len(generators):
             coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * SAMPLE_STEP
             terms = (float(c) * g.mat for c, g in zip(coeffs, generators))
             exponent = sum(terms, np.zeros((shape.n, shape.n)))
-            candidate = mat_exp(BlockMatElement(shape, exponent))
+            candidate = mat_exp(BlockMatElement(shape, exponent)).mat
         else:
-            i = int(rng.integers(0, len(elements)))
-            j = int(rng.integers(0, len(elements)))
+            i = int(rng.integers(0, len(mats)))
+            j = int(rng.integers(0, len(mats)))
             if kind == 1:
-                candidate = elements[i] @ elements[j]
+                candidate = mats[i] @ mats[j]
             else:
-                g0 = elements[i].even()
-                candidate = g0 @ elements[j] @ even_inverse(g0)
-        if (candidate - identity).opnorm() < SAMPLE_LOG_MARGIN:
-            elements.append(candidate)
+                g0 = mats[i].copy()
+                g0[:p, p:] = 0.0
+                candidate = g0 @ mats[j] @ _even_inverses(g0, p)
+        if np.linalg.norm(candidate - identity, 2) < SAMPLE_LOG_MARGIN:
+            mats.append(candidate)
+    elements = [BlockMatElement(shape, m) for m in mats]
     return XiGroupSample(generators=list(generators), elements=elements)
 
 
@@ -314,14 +352,10 @@ def trivial_sample(shape):
     return XiGroupSample(generators=[], elements=[BlockMatElement.identity(shape)])
 
 
-def _vec(el):
-    return el.mat.reshape(-1)
-
-
 def _orthonormal_columns(elements):
     if not elements:
         return None
-    a = np.stack([_vec(el) for el in elements], axis=1)
+    a = np.stack([el.mat.reshape(-1) for el in elements], axis=1)
     q, r = np.linalg.qr(a)
     keep = np.abs(np.diag(r)) > 1e-12
     return q[:, keep]
@@ -337,7 +371,8 @@ def tangent_basis(sample: XiGroupSample, tol=DEFAULT_SPAN_TOL):
     if not sample.elements:
         return []
     shape = sample.elements[0].shape
-    rows = np.stack([_vec(mat_log(el)) for el in sample.elements])
+    logs = log_stack(np.stack([el.mat for el in sample.elements]))
+    rows = logs.reshape(len(logs), -1)
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     basis = []
     for i, sigma in enumerate(s):
@@ -353,13 +388,30 @@ def tangent_basis(sample: XiGroupSample, tol=DEFAULT_SPAN_TOL):
 
 
 def principal_angles(basis_a, basis_b):
-    """Principal angles (radians) between two spans of block elements."""
+    """Principal angles (radians, ascending) between two spans of block elements.
+
+    ``arccos`` of a cosine near 1 cannot resolve an angle below about
+    sqrt(2 * eps) ~ 2e-8, so angles up to pi/4 are taken by ``arcsin`` of the
+    sines, the singular values of ``Qb - Qa (Qa^T Qb)``, and the larger ones
+    by ``arccos`` of the cosines, the singular values of ``Qa^T Qb``
+    (Bjorck & Golub, Math. Comp. 27 (1973); Knyazev & Argentati, SIAM J.
+    Sci. Comput. 23 (2002)).
+    """
     qa = _orthonormal_columns(basis_a)
     qb = _orthonormal_columns(basis_b)
     if qa is None or qb is None or qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros(0)
-    cosines = np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), -1.0, 1.0)
-    return np.arccos(cosines)
+    if qa.shape[1] < qb.shape[1]:
+        # project the smaller span, so that its every direction has an angle
+        qa, qb = qb, qa
+    overlap = qa.T @ qb
+    cosines = np.linalg.svd(overlap, compute_uv=False)
+    sines = np.linalg.svd(qb - qa @ overlap, compute_uv=False)[::-1]
+    return np.where(
+        cosines**2 >= 0.5,
+        np.arcsin(np.clip(sines, 0.0, 1.0)),
+        np.arccos(np.clip(cosines, -1.0, 1.0)),
+    )
 
 
 def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, seed=0):
@@ -373,23 +425,24 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     report = VerificationReport(subject="xi-closure")
     check = report.check("xi_conjugate_log_in_span", note=f"tol={tol!r}")
     q = _orthonormal_columns(sample.generators)
-    skipped = 0
-    for _ in range(trials):
-        i = int(rng.integers(0, len(sample.elements)))
-        j = int(rng.integers(0, len(sample.elements)))
-        g0 = sample.elements[i].even()
-        conj = g0 @ sample.elements[j] @ even_inverse(g0)
-        if (conj - BlockMatElement.identity(conj.shape)).opnorm() >= 1.0:
-            skipped += 1
-            continue
+    shape = sample.elements[0].shape
+    mats = np.stack([el.mat for el in sample.elements])
+    evens = mats.copy()
+    evens[:, : shape.p, shape.p :] = 0.0
+    # the loop draws nothing else from rng, so every pair can be drawn first
+    pairs = rng.integers(0, len(mats), size=(trials, 2))
+    i, j = pairs.T
+    conj = evens[i] @ mats[j] @ _even_inverses(evens, shape.p)[i]
+    in_domain = np.linalg.norm(conj - np.eye(shape.n), 2, axis=(1, 2)) < 1.0
+    skipped = trials - int(in_domain.sum())
+    vecs = log_stack(conj[in_domain]).reshape(-1, shape.n * shape.n)
+    if q is not None:
+        vecs = vecs - (vecs @ q) @ q.T
+    residuals = np.linalg.norm(vecs, axis=1)
+    for pair, residual in zip(pairs[in_domain].tolist(), residuals.tolist()):
         check.record_trial()
-        v = _vec(mat_log(conj))
-        if q is None:
-            residual = float(np.linalg.norm(v))
-        else:
-            residual = float(np.linalg.norm(v - q @ (q.T @ v)))
         if residual > tol:
-            check.record_failure({"pair": [i, j], "residual": residual})
+            check.record_failure({"pair": pair, "residual": residual})
     if skipped:
         check.note += f"; skipped {skipped} out-of-domain conjugates"
     return report

@@ -24,7 +24,8 @@ from z2lie.algebra import (
 )
 from z2lie.bch import Series
 from z2lie.blockmodel import block_matrix_algebra
-from z2lie.catalog import catalog_algebra
+from z2lie.catalog import CATALOG_NAMES, catalog_algebra
+from z2lie.linalg import divided
 
 
 def dual_numbers_def():
@@ -221,6 +222,17 @@ def test_int_coefficients_match_their_fraction_twin():
     assert repr(ints) == repr(fracs)
     assert ints * fracs == fracs * fracs
     assert ints.invert() == fracs.invert()
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "O-2 rescaled"])
+def test_left_columns_match_element_products(name, rescaled_o_minus_2):
+    alg = validate_z2(rescaled_o_minus_2) if name == "O-2 rescaled" else catalog_algebra(name)
+    rng = random.Random(name)
+    for el in (random_element(alg, rng), alg.unit, alg.basis(alg.dim - 1)):
+        columns, den = el._left_columns()
+        assert [divided(col, den) for col in columns] == [
+            (el * alg.basis(j)).terms for j in range(alg.dim)
+        ]
 
 
 def test_json_roundtrip(tmp_path):

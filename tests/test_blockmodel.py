@@ -21,6 +21,7 @@ from z2lie.blockmodel import (
     evaluate_series,
     even_inverse,
     fit_convergence,
+    log_stack,
     mat_exp,
     mat_log,
     principal_angles,
@@ -82,6 +83,48 @@ def test_exp_log_against_scipy():
         assert np.allclose(mat_exp(a).mat, scipy.linalg.expm(a.mat), atol=1e-12)
     g = mat_exp(random_block(SHAPE22, rng, norm=0.4))
     assert np.allclose(mat_log(g).mat, scipy.linalg.logm(g.mat), atol=1e-10)
+    # at the sampler's margin, where the logs are hardest: the Frobenius
+    # stop of both series is not early
+    for _ in range(5):
+        g = BlockMatElement.identity(SHAPE22) + random_block(SHAPE22, rng, norm=0.59)
+        log = mat_log(g)
+        assert np.allclose(log.mat, scipy.linalg.logm(g.mat), rtol=0, atol=1e-10)
+        assert np.allclose(mat_exp(log).mat, scipy.linalg.expm(log.mat), rtol=0, atol=1e-10)
+        assert np.allclose(mat_exp(log).mat, g.mat, rtol=0, atol=1e-10)
+
+
+def _spectral_stop_log(mat):
+    # the single-matrix series as it stopped before, on the operator norm
+    d = mat - np.eye(len(mat))
+    acc, power = np.zeros_like(d), np.eye(len(mat))
+    for k in range(1, 601):
+        power = power @ d
+        acc = acc + (power / k if k % 2 else -power / k)
+        if np.linalg.norm(power, 2) / k < 1e-14:
+            return acc
+    raise AssertionError("no convergence")
+
+
+def test_log_stack_members_match_single_logs():
+    # members that converge at very different terms of the series
+    rng = np.random.default_rng(12)
+    norms = (1e-3, 0.05, 0.3, 0.59, 0.0, 0.2)
+    stack = np.stack([np.eye(4) + random_block(SHAPE22, rng, norm=t).mat for t in norms])
+    logs = log_stack(stack)
+    for g, log in zip(stack, logs):
+        assert np.all(log[2:, :2] == 0.0)
+        alone = mat_log(BlockMatElement(SHAPE22, g)).mat
+        assert np.abs(log - alone).max() <= 1e-15
+        assert np.abs(log - _spectral_stop_log(g)).max() <= 1e-14
+    assert log_stack(stack[:0]).shape == (0, 4, 4)
+
+
+def test_log_stack_out_of_domain_member_raises():
+    rng = np.random.default_rng(13)
+    stack = np.stack([mat_exp(random_block(SHAPE22, rng, norm=0.1)).mat for _ in range(3)])
+    stack[1] = 3.0 * np.eye(4)
+    with pytest.raises(LogOutOfDomain):
+        log_stack(stack)
 
 
 def test_log_domain_enforced():
@@ -197,6 +240,25 @@ def test_tangent_basis_one_parameter_curve():
     assert float(angles.max()) <= 1e-8
 
 
+def _unit(*entries):
+    mat = np.zeros((4, 4))
+    for r, c, value in entries:
+        mat[r, c] = value
+    return BlockMatElement(SHAPE22, mat)
+
+
+def test_principal_angles_constructed():
+    # each b_k turns a_k by t_k towards its own orthogonal direction; the
+    # small angle is below what arccos of a cosine can resolve
+    ts = (1e-10, 0.3, 1.2)
+    a = [_unit((k, k, 1.0)) for k in range(3)]
+    b = [_unit((k, k, np.cos(t)), (k, k + 1, np.sin(t))) for k, t in enumerate(ts)]
+    assert np.allclose(principal_angles(a, b), ts, rtol=1e-3, atol=0)
+    # spans of different dimension, either way round
+    assert np.allclose(principal_angles(a, b[:2]), ts[:2], rtol=1e-3, atol=0)
+    assert np.allclose(principal_angles(b[:2], a), ts[:2], rtol=1e-3, atol=0)
+
+
 def test_xi_group_sample_invariants():
     singular = BlockMatElement(SHAPE22, np.diag([1.0, 1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -219,10 +281,32 @@ def test_xi_closure_even_only_generators():
     assert report.passed
 
 
+def test_xi_closure_counts_pinned():
+    # trial, skip and failure counts and witness pairs of one seed, as the
+    # per-pair loop drew and judged them
+    rng = np.random.default_rng(11)
+    norms = (0.3, 0.5, 0.6, 0.7, 0.8, 0.9)
+    elements = [BlockMatElement.identity(SHAPE22)]
+    elements += [mat_exp(random_block(SHAPE22, rng, norm=t)) for t in norms]
+    units = block_matrix_units(2, 2)
+    even_units = [rc for rc in units if (rc[0] < 2) == (rc[1] < 2)]
+    gens = [
+        BlockMatElement(SHAPE22, np.array(m, dtype=float))
+        for m in unit_matrices(SHAPE22, even_units)
+    ]
+    sample = XiGroupSample(generators=gens, elements=elements)
+    check = xi_closure_check(sample, trials=60, tol=1e-8, seed=5).checks[0]
+    assert check.trials == 56
+    assert check.note.endswith("skipped 4 out-of-domain conjugates")
+    assert check.failure_count == 47
+    assert [f["pair"] for f in check.failures] == [[4, 5], [0, 5], [3, 3], [4, 2], [1, 2]]
+
+
 def test_xi_closure_identity_conjugation():
     sample = trivial_sample(SHAPE11)
     report = xi_closure_check(sample, trials=5, tol=1e-12, seed=0)
     assert report.passed
+    assert xi_closure_check(sample, trials=0).checks[0].trials == 0
 
 
 def test_correspondence_trivial_group():

@@ -305,6 +305,13 @@ def test_correspond_loose_tolerance_passes(tmp_path):
     assert code == 0
 
 
+def test_correspond_resolves_angles_below_the_arccos_floor(tmp_path):
+    # arccos of a cosine near 1 read these angles as 1.5e-8 and 2.6e-8
+    code, text = run(tmp_path, "correspond", "--shape", "2,2", "--trials", "40", "--tol", "1e-9")
+    assert code == 0
+    assert json.loads(text)["passed"] is True
+
+
 def test_invert_dual_numbers(tmp_path):
     code, text = run(tmp_path, "invert", "R2", "--element", "2,3")
     assert code == 0
