@@ -154,7 +154,8 @@ class AlgebraDef:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer over the digit limit, too deep nesting
             raise AlgebraFormatError(f"not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise AlgebraFormatError("top-level JSON value must be an object")
@@ -162,8 +163,12 @@ class AlgebraDef:
 
 
 def load_algebra(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return AlgebraDef.from_json(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return AlgebraDef.from_json(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise AlgebraFormatError(f"not UTF-8 text: {exc}") from exc
 
 
 def save_algebra(defn, path):

@@ -16,20 +16,19 @@ The central computation is
 
 where E0(v) is the even part of exp(v0 + v1); with u = w = 0 this reduces
 to the classical Campbell-Baker-Hausdorff series of x and y.  The module
-also expands angle/square bracket expressions into word coordinates,
-re-fits the computed series onto bracket monomials (Lyndon words over
-angle-wrapped letters), and diffs it against a hard-coded reference
-listing of the printed low-degree terms, reporting rather than repairing
-any mismatch.
+also evaluates angle/square bracket expressions (one evaluator for word
+series and block matrices alike), re-fits the computed series onto
+bracket monomials (Lyndon words over angle-wrapped letters), and diffs
+it against a hard-coded reference listing of the printed low-degree
+terms, reporting rather than repairing any mismatch.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial, lcm
 
 from .brackets import angle, square
@@ -229,28 +228,6 @@ class Series(ExactVector):
         f = self.scale(Fraction(1) / c) - Series.one(self.truncation)
         return f._power_series(lambda n: (-1) ** n).scale(Fraction(1) / c)
 
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, env, *, one, scale, mul=operator.mul):
-        """Substitute concrete values for the generators.
-
-        ``env`` maps generator names ("x0", ...) to values; ``one`` is the
-        multiplicative identity of the target, used for the constant term.
-        ``scale(coeff, value)`` applies a rational coefficient in the target
-        type (e.g. by float conversion for numpy arrays).
-        """
-        acc = None
-        for word, coeff in sorted(self.terms.items(), key=lambda kv: _word_key(kv[0])):
-            if word:
-                value = reduce(mul, (env[GENERATOR_NAMES[l]] for l in word))
-            else:
-                value = one
-            term = scale(coeff, value)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return scale(Fraction(0), one)
-        return acc
-
 
 @lru_cache(maxsize=None)
 def extended_bch(truncation: int) -> Series:
@@ -325,21 +302,36 @@ def bracket_string(term: BracketTerm, angle_pair="<>") -> str:
     return f"[{left},{right}]"
 
 
+def bracket_value(term: BracketTerm, values):
+    """The value of a bracket expression, given the values of its generators.
+
+    ``values`` maps ``gen(s)`` to the value of each symbol s in ``term`` and
+    doubles as the memo: every subterm's value is stored in it, so terms
+    evaluated against one dict share their common subterms.  Angle and
+    square nodes apply :func:`brackets.angle` and :func:`brackets.square`,
+    so the values may be ``Series``, algebra ``Element``s or block matrices.
+    """
+    if term.op != "gen" and term not in values:
+        bracket = angle if term.op == "angle" else square
+        operands = bracket_value(term.left, values), bracket_value(term.right, values)
+        values[term] = bracket(*operands)
+    return values[term]
+
+
 @lru_cache(maxsize=None)
+def _expansions(truncation):
+    """The memo of :func:`bracket_expand` at one truncation, seeded with x, y, u, w."""
+    return {gen(s): Series.full_generator(s, truncation) for s in SYMBOLS}
+
+
 def bracket_expand(term: BracketTerm, truncation: int) -> Series:
     """Expand a bracket expression into word coordinates (int coefficients).
 
-    Angle and square nodes apply :func:`brackets.angle` and
-    :func:`brackets.square` to the expanded operands; a generator leaf is
-    the sum of its even and odd letters.  Memoised, as the Lyndon monomials
-    share subterms: the returned Series is shared and must not be mutated.
+    A generator is the sum of its even and odd letters.  Memoised per
+    truncation, as the Lyndon monomials share subterms: the returned
+    Series is shared and must not be mutated.
     """
-    if term.op == "gen":
-        return Series.full_generator(term.name, truncation)
-    bracket = angle if term.op == "angle" else square
-    return bracket(
-        bracket_expand(term.left, truncation), bracket_expand(term.right, truncation)
-    )
+    return bracket_value(term, _expansions(truncation))
 
 
 def _fit_degree(terms, series, degree):

@@ -8,6 +8,12 @@ multiplication alone, which makes this the standard desk-scale model for
 numeric experiments: matrix exp/log, residuals of the combined-exponential
 series, conjugation-closure of sampled groups, and tangent-space recovery.
 
+A :class:`BlockMatElement` takes the operands' protocol of ``Element`` and
+``Series`` (``*``, ``even_part()``, ``odd_part()``), so the brackets of
+:mod:`brackets` apply to it unchanged.  The residuals evaluate the
+bracket fit of the series with :func:`bch.bracket_value`, testing the
+series as a series of brackets.
+
 Block structure is preserved exactly, not within tolerance: no operation
 ever writes into the lower-left block, and constructors reject matrices
 with nonzero entries there.
@@ -22,7 +28,7 @@ from math import ceil, isfinite, log2
 import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, validate_z2
-from .bch import GENERATOR_NAMES, extended_bch
+from .bch import SYMBOLS, bracket_basis_fit, bracket_value, gen
 from .brackets import generate_subalgebra
 from .linalg import FractionSpan, exact
 from .report import VerificationReport
@@ -84,12 +90,12 @@ class BlockMatElement:
     def identity(cls, shape):
         return cls(shape, np.eye(shape.n))
 
-    def even(self):
+    def even_part(self):
         out = self.mat.copy()
         out[: self.shape.p, self.shape.p :] = 0.0
         return BlockMatElement(self.shape, out)
 
-    def odd(self):
+    def odd_part(self):
         out = np.zeros_like(self.mat)
         out[: self.shape.p, self.shape.p :] = self.mat[: self.shape.p, self.shape.p :]
         return BlockMatElement(self.shape, out)
@@ -114,7 +120,7 @@ class BlockMatElement:
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
-    def __matmul__(self, other):
+    def __mul__(self, other):
         self._check(other)
         return BlockMatElement(self.shape, self.mat @ other.mat)
 
@@ -210,53 +216,42 @@ def mat_log(g: BlockMatElement) -> BlockMatElement:
     return BlockMatElement(g.shape, log_stack(g.mat[np.newaxis])[0])
 
 
-def evaluate_series(series, x, y, u, w) -> BlockMatElement:
-    """Substitute block matrices for the generators of a word series."""
-    shape = x.shape
-    parts = (part.mat for el in (x, y, u, w) for part in (el.even(), el.odd()))
-    env = dict(zip(GENERATOR_NAMES, parts))
-    mat = series.evaluate(
-        env,
-        one=np.eye(shape.n),
-        mul=np.matmul,
-        scale=lambda c, v: float(c) * v,
-    )
-    return BlockMatElement(shape, mat)
-
-
 def _group_product(x, y, u, w):
-    e0u = mat_exp(u).even()
-    e0w = mat_exp(w).even()
-    return (
-        e0u
-        @ mat_exp(x)
-        @ even_inverse(e0u)
-        @ e0w
-        @ mat_exp(y)
-        @ even_inverse(e0w)
-    )
+    e0u, e0w = mat_exp(u).even_part(), mat_exp(w).even_part()
+    return e0u * mat_exp(x) * even_inverse(e0u) * e0w * mat_exp(y) * even_inverse(e0w)
+
+
+def _bracket_series(x, y, u, w, degree):
+    """The degree-``degree`` bracket fit of the series, evaluated at x, y, u, w.
+
+    Each monomial of :func:`bch.bracket_basis_fit` is evaluated by the block
+    brackets themselves, so the result tests the bracket form of the series.
+    """
+    for el in (x, y, u, w):
+        if el.opnorm() > 0.2 + 1e-12:
+            raise ValueError("inputs must have operator norm at most 0.2")
+    values = {gen(s): el for s, el in zip(SYMBOLS, (x, y, u, w))}
+    z = BlockMatElement.zero(x.shape)
+    for term, coeff in bracket_basis_fit(degree):
+        z = z + bracket_value(term, values).scale(coeff)
+    return z
 
 
 def bch_residual(x, y, u, w, degree: int) -> float:
     """Operator-norm gap between the truncated series and the true product.
 
-    Evaluates the degree-``degree`` combined-exponential series at the
-    given matrices, exponentiates, and measures the distance to
+    Evaluates the degree-``degree`` bracket series at the given matrices,
+    exponentiates, and measures the distance to
     E0(exp u) exp(x) E0(exp u)^-1 E0(exp w) exp(y) E0(exp w)^-1.
     """
-    for el in (x, y, u, w):
-        if el.opnorm() > 0.2 + 1e-12:
-            raise ValueError("inputs must have operator norm at most 0.2")
-    z = evaluate_series(extended_bch(degree), x, y, u, w)
-    lhs = _group_product(x, y, u, w)
-    return (lhs - mat_exp(z)).opnorm()
+    z = _bracket_series(x, y, u, w, degree)
+    return (_group_product(x, y, u, w) - mat_exp(z)).opnorm()
 
 
 def bch_log_residual(x, y, u, w, degree: int) -> float:
     """Distance in log coordinates: series value vs direct mat_log of the product."""
-    z = evaluate_series(extended_bch(degree), x, y, u, w)
-    lhs = _group_product(x, y, u, w)
-    return (z - mat_log(lhs)).opnorm()
+    z = _bracket_series(x, y, u, w, degree)
+    return (z - mat_log(_group_product(x, y, u, w))).opnorm()
 
 
 def fit_convergence(norms, residuals):

@@ -24,11 +24,15 @@ def exact(value):
     """An int or Fraction as given, a string parsed; floats and bools raise.
 
     A binary float is rarely the rational meant (0.1 is not 1/10), and True
-    is not the number 1 in a definition.
+    is not the number 1 in a definition.  A string in exponent notation
+    raises ValueError: ``Fraction("1e9999999")`` builds a ten-million-digit
+    integer, which takes seconds.
     """
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError(f"exponent notation is not accepted: {value!r}")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch_oracle import classical_bch_words, graded_expansion
-from z2lie.algebra import Element, random_element
 from z2lie.bch import (
     BadConstantTerm,
     Series,
@@ -297,32 +296,6 @@ def test_compare_printed_series_documents_duplicates():
         assert dup[form]["computed_coefficient"] == "1/12"
     # the word diffs show exactly the 1/12-vs-1/6 surplus at degree 3
     assert all(d["degree"] == 3 for d in comparison.word_diffs)
-
-
-def test_series_evaluation_is_multiplicative():
-    # substituting exact elements with matching parity is a homomorphism
-    from z2lie.catalog import catalog_algebra
-
-    alg = catalog_algebra("C-2")
-    rng = random.Random(4)
-    env = {}
-    for symbol in "xyuw":
-        full = random_element(alg, rng)
-        env[f"{symbol}0"] = full.even_part()
-        env[f"{symbol}1"] = full.odd_part()
-
-    def ev(series):
-        return series.evaluate(
-            env,
-            one=alg.unit,
-            scale=lambda c, v: v.scale(c),
-        )
-
-    a = s(4, {(X0,): 1, (Y1,): 2, (U0, W0): Fraction(1, 3)})
-    b = s(4, {(W0,): 1, (X1,): Fraction(-1, 2)})
-    assert ev(a * b) == ev(a) * ev(b)
-    assert ev(a + b) == ev(a) + ev(b)
-    assert ev(Series.one(4)) == alg.unit
 
 
 def test_format_bracket_series_readable():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import z2lie.blockmodel as blockmodel
 from z2lie.algebra import is_associative
-from z2lie.bch import extended_bch
+from z2lie.bch import bracket_basis_fit, bracket_value, gen, printed_series_terms
 from z2lie.blockmodel import (
     BlockMatElement,
     BlockShape,
@@ -18,7 +19,6 @@ from z2lie.blockmodel import (
     block_matrix_units,
     correspondence_roundtrip,
     element_to_matrix,
-    evaluate_series,
     even_inverse,
     fit_convergence,
     log_stack,
@@ -55,16 +55,16 @@ def test_non_finite_entries_rejected(value):
 def test_parity_projections():
     rng = np.random.default_rng(0)
     a = random_block(SHAPE22, rng, norm=1.0)
-    assert np.array_equal(a.even().mat + a.odd().mat, a.mat)
-    assert np.all(a.even().mat[:2, 2:] == 0.0)
-    assert np.all(a.odd().mat[:2, :2] == 0.0)
-    assert np.all(a.odd().mat[2:, 2:] == 0.0)
+    assert np.array_equal(a.even_part().mat + a.odd_part().mat, a.mat)
+    assert np.all(a.even_part().mat[:2, 2:] == 0.0)
+    assert np.all(a.odd_part().mat[:2, :2] == 0.0)
+    assert np.all(a.odd_part().mat[2:, 2:] == 0.0)
 
 
 def test_mat_exp_identity_and_odd():
     assert np.array_equal(mat_exp(BlockMatElement.zero(SHAPE22)).mat, np.eye(4))
     rng = np.random.default_rng(1)
-    odd = random_block(SHAPE22, rng, norm=0.4).odd()
+    odd = random_block(SHAPE22, rng, norm=0.4).odd_part()
     expected = BlockMatElement.identity(SHAPE22) + odd
     assert np.array_equal(mat_exp(odd).mat, expected.mat)
 
@@ -137,7 +137,7 @@ def test_block_structure_preserved_exactly():
     rng = np.random.default_rng(4)
     a = random_block(SHAPE22, rng, norm=0.3)
     b = random_block(SHAPE22, rng, norm=0.3)
-    for el in (a @ b, mat_exp(a), mat_log(mat_exp(b)), a + b, a.scale(0.7)):
+    for el in (a * b, mat_exp(a), mat_log(mat_exp(b)), a + b, a.scale(0.7)):
         assert np.all(el.mat[2:, :2] == 0.0)
 
 
@@ -145,32 +145,54 @@ def test_even_part_multiplicative():
     rng = np.random.default_rng(5)
     g = random_block(SHAPE22, rng, norm=0.8)
     h = random_block(SHAPE22, rng, norm=0.8)
-    assert np.array_equal((g @ h).even().mat, (g.even() @ h.even()).mat)
+    assert np.array_equal((g * h).even_part().mat, (g.even_part() * h.even_part()).mat)
 
 
 def test_exp_even_part_commutes():
     rng = np.random.default_rng(6)
     a = random_block(SHAPE22, rng, norm=0.7)
-    lhs = mat_exp(a).even().mat
-    rhs = mat_exp(a.even()).mat
+    lhs = mat_exp(a).even_part().mat
+    rhs = mat_exp(a.even_part()).mat
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_even_inverse_structure():
     rng = np.random.default_rng(7)
-    g = mat_exp(random_block(SHAPE22, rng, norm=0.5)).even()
+    g = mat_exp(random_block(SHAPE22, rng, norm=0.5)).even_part()
     inv = even_inverse(g)
-    assert np.allclose((g @ inv).mat, np.eye(4), atol=1e-12)
+    assert np.allclose((g * inv).mat, np.eye(4), atol=1e-12)
     assert np.all(inv.mat[:2, 2:] == 0.0)
     with pytest.raises(ValueError):
-        even_inverse(g + random_block(SHAPE22, rng, norm=0.1).odd())
+        even_inverse(g + random_block(SHAPE22, rng, norm=0.1).odd_part())
+
+
+def _values(x, y, u, w):
+    return {gen(s): el for s, el in zip("xyuw", (x, y, u, w))}
 
 
 def test_evaluate_series_degree_one():
     rng = np.random.default_rng(8)
     x, y, u, w = (random_block(SHAPE22, rng, norm=0.1) for _ in range(4))
-    z = evaluate_series(extended_bch(1), x, y, u, w)
+    values = _values(x, y, u, w)
+    z = BlockMatElement.zero(SHAPE22)
+    for term, coeff in bracket_basis_fit(1):
+        z = z + bracket_value(term, values).scale(coeff)
     assert np.allclose(z.mat, (x + y).mat, atol=1e-15)
+
+
+def test_bracket_value_agrees_on_exact_shadow():
+    # one evaluator: exact Elements of the rational shadow and float block
+    # matrices give the same value for every monomial of the degree-3 fit
+    alg = block_matrix_algebra(2, 2)
+    rng = np.random.default_rng(14)
+    mats = [rng.integers(-3, 4, size=(4, 4)) for _ in range(4)]
+    for m in mats:
+        m[2:, :2] = 0
+    exact = _values(*(block_matrix_element(alg, SHAPE22, m.tolist()) for m in mats))
+    floats = _values(*(BlockMatElement(SHAPE22, m) for m in mats))
+    for term, _ in bracket_basis_fit(3):
+        expected = np.array(element_to_matrix(bracket_value(term, exact), SHAPE22), dtype=float)
+        assert np.array_equal(bracket_value(term, floats).mat, expected), str(term)
 
 
 def test_bch_residual_commuting_even_case():
@@ -185,8 +207,9 @@ def test_bch_residual_norm_precondition():
     rng = np.random.default_rng(9)
     big = random_block(SHAPE22, rng, norm=0.5)
     zero = BlockMatElement.zero(SHAPE22)
-    with pytest.raises(ValueError):
-        bch_residual(big, zero, zero, zero, 2)
+    for residual in (bch_residual, bch_log_residual):
+        with pytest.raises(ValueError, match="norm"):
+            residual(big, zero, zero, zero, 2)
 
 
 def _ladder(degree, seed=7):
@@ -205,6 +228,27 @@ def test_convergence_order():
         norms, residuals = _ladder(degree)
         exponent, _ = fit_convergence(norms, residuals)
         assert exponent >= degree + 0.5, (degree, exponent)
+
+
+def test_printed_listing_fails_the_order_check(monkeypatch):
+    # the printed degree-3 terms doubled: the residual falls like t^3.2, not t^4
+    listing = [(term, c) for c, term in printed_series_terms() if term.degree() <= 3]
+    monkeypatch.setattr(blockmodel, "bracket_basis_fit", lambda degree: listing)
+    exponent, _ = fit_convergence(*_ladder(3))
+    assert exponent < 3.5, exponent
+
+
+def test_perturbed_fit_fails_the_order_check(monkeypatch):
+    # any degree-2 or degree-3 coefficient off by 1/100 drops the degree-4
+    # exponent to about 2 or 3 (measured 1.97 to 3.40)
+    fit = bracket_basis_fit(4)
+    for i, (term, coeff) in enumerate(fit):
+        if term.degree() not in (2, 3):
+            continue
+        bumped = fit[:i] + [(term, coeff + Fraction(1, 100))] + fit[i + 1 :]
+        monkeypatch.setattr(blockmodel, "bracket_basis_fit", lambda degree: bumped)
+        exponent, _ = fit_convergence(*_ladder(4))
+        assert exponent < 4.5, (str(term), exponent)
 
 
 def test_halving_the_norms_scales_the_residual():

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import z2lie
 from z2lie.algebra import AlgebraDef, save_algebra, validate_z2
@@ -177,6 +181,84 @@ def test_definition_above_dim_limit_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_DUAL_NUMBERS = {
+    "name": "dual",
+    "dim": 2,
+    "parity": [0, 1],
+    "unit": ["1", "0"],
+    "structconst": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff\xfe{",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"dim": ' + b"9" * 4301 + b"}",
+        json.dumps({**_DUAL_NUMBERS, "unit": ["1e9999999", "0"]}).encode(),
+    ],
+    ids=["not-utf8", "nested-100000-deep", "4301-digit-integer", "exponent-coefficient"],
+)
+def test_unreadable_definition_is_input_error(tmp_path, capsys, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    for argv in (["verify", str(path)], ["invert", str(path), "--element", "1,0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBER = st.integers(-2, 2) | st.sampled_from(["1", "-1/2", "0.5", "1e3", "1/0", "x", ""])
+
+
+@st.composite
+def _definitions(draw):
+    """The algebra R^dim with drawn parities, unit and extra structconst rows,
+    and up to two keys swapped for arbitrary JSON: draws reach the checks
+    behind the shape checks, and some are valid algebras."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(-1, dim) | _JSON
+    row = st.tuples(index, index, index, _NUMBER | _JSON).map(list)
+    defn = {
+        "name": draw(st.text(max_size=6)),
+        "dim": dim,
+        "parity": draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)),
+        "unit": draw(st.just(["1"] * dim) | st.lists(_NUMBER, min_size=dim, max_size=dim)),
+        "structconst": [[i, i, i, "1"] for i in range(dim)] + draw(st.lists(row | _JSON, max_size=3)),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(defn)), max_size=2)):
+        defn[key] = draw(_JSON)
+    return defn
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(defn=_definitions(), element=st.sampled_from(["1", "1,0", "2,1,0", "0,0,1", "1e3"]))
+def test_any_definition_json_gives_a_report_or_one_error_line(tmp_path_factory, defn, element):
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    out = tmp_path_factory.getbasetemp() / "drawn-out.json"
+    path.write_text(json.dumps(defn))
+    for argv, report_codes in (
+        (["verify", str(path), "--trials", "1"], (0, 1)),
+        (["invert", str(path), "--element", element], (0,)),
+    ):
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "-o", str(out)])
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:
+            assert code in report_codes and not err.getvalue()
+            assert isinstance(json.loads(out.read_text()), dict)
+
+
 def test_verify_invalid_structure_exits_one(tmp_path):
     bad = tmp_path / "oddodd.json"
     bad.write_text(
@@ -327,9 +409,11 @@ def test_invert_pure_odd(tmp_path):
     assert doc["invertible"] is False
 
 
-def test_invert_bad_element():
-    assert main(["invert", "R2", "--element", "1,nope"]) == 2
-    assert main(["invert", "R2", "--element", "1,2,3"]) == 2
+def test_invert_bad_element(capsys):
+    for element in ("1,nope", "1,2,3", "1e9999999,0"):
+        assert main(["invert", "R2", "--element", element]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --element") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2lie.linalg import FractionSpan, solve_columns, vec_add
+from z2lie.linalg import FractionSpan, exact, solve_columns, vec_add
+
+
+@pytest.mark.parametrize("text", ["1e9999999", "1E3", "2.5e-1", "-1e0"])
+def test_exact_refuses_exponent_notation(text):
+    # Fraction would expand "1e9999999" for many seconds
+    with pytest.raises(ValueError, match="exponent"):
+        exact(text)
 
 
 def test_vec_add_drops_zeros():
