@@ -141,8 +141,12 @@ class AlgebraDef:
             triples = data["structconst"]
             if not isinstance(name, str):
                 raise TypeError("name must be a string")
-            # a string would pass as a sequence of one-character entries
-            if not all(isinstance(v, list) for v in (parity, unit, triples, *triples)):
+            # a string would pass as a sequence of one-character entries;
+            # structconst is checked to be a list before its rows are read
+            if not (
+                all(isinstance(v, list) for v in (parity, unit, triples))
+                and all(isinstance(row, list) for row in triples)
+            ):
                 raise TypeError("parity, unit, structconst and its rows must be lists")
             return cls(name, dim, parity, triples, unit)
         except AlgebraFormatError:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .brackets import angle, square
-from .linalg import ExactVector, clear_denominators, exact, solve_columns
+from .linalg import ExactVector, FractionSpan, clear_denominators, divided, exact
 
 
 class TruncationMismatch(Exception):
@@ -45,6 +45,10 @@ class BadConstantTerm(Exception):
 
 class InconsistentSystem(Exception):
     """The computed series left the bracket span; indicates an engine bug."""
+
+
+class LostRank(Exception):
+    """Bracket terms that are independent only with their odd letters kept."""
 
 
 GENERATOR_NAMES = ("x0", "x1", "y0", "y1", "u0", "u1", "w0", "w1")
@@ -68,26 +72,35 @@ def word_name(word):
     return " ".join(GENERATOR_NAMES[letter] for letter in word) if word else "1"
 
 
-def _cleared(terms):
-    """Integer numerators grouped by word length and parity, and their denominator."""
-    numerators, den = clear_denominators(terms)
+def _grouped(numerators):
+    """Integer coefficients grouped by word length and parity."""
     groups = {}
     for w, c in numerators.items():
-        groups.setdefault((len(w), _is_odd(w)), {})[w] = c
-    return groups, den
+        groups.setdefault((len(w), not _ODD_LETTERS.isdisjoint(w)), {})[w] = c
+    return groups
 
 
 def _word_product(left, right, truncation):
-    """The truncated product of two grouped integer polynomials, without zeros."""
-    acc = {}
+    """The truncated product of two grouped integer polynomials, grouped, no zeros.
+
+    A product of words of lengths da, db and parities oa, ob has length
+    da + db and is odd when either factor is, so each pair of input groups
+    feeds exactly one output group.
+    """
+    out = {}
     for (da, oa), terms_a in left.items():
         for (db, ob), terms_b in right.items():
-            if da + db <= truncation and oa + ob < 2:
+            if da + db <= truncation and not (oa and ob):
+                acc = out.setdefault((da + db, oa or ob), {})
                 for wa, ca in terms_a.items():
                     for wb, cb in terms_b.items():
                         w = wa + wb
                         acc[w] = acc.get(w, 0) + ca * cb
-    return {w: c for w, c in acc.items() if c}
+    return {
+        key: nonzero
+        for key, acc in out.items()
+        if (nonzero := {w: c for w, c in acc.items() if c})
+    }
 
 
 class Series(ExactVector):
@@ -174,9 +187,12 @@ class Series(ExactVector):
             return self.scale(other)
         self._compatible(other)
         n = self.truncation
-        (left, den_a), (right, den_b) = _cleared(self.terms), _cleared(other.terms)
-        product = Series._from_terms(n, _word_product(left, right, n))
-        return product.scale(Fraction(1, den_a * den_b))
+        left, den_a = clear_denominators(self.terms)
+        right, den_b = clear_denominators(other.terms)
+        product = _word_product(_grouped(left), _grouped(right), n)
+        terms = {w: c for group in product.values() for w, c in group.items()}
+        den = den_a * den_b
+        return Series._from_terms(n, terms if den == 1 else divided(terms, den))
 
     # -- grading -------------------------------------------------------------
 
@@ -195,19 +211,26 @@ class Series(ExactVector):
 
     def _power_series(self, coeff):
         """Sum of ``coeff(n) * self**n`` over n, accumulated as ints over one
-        denominator (the powers of ``self`` times its denominator are integral)."""
+        denominator (the powers of ``self`` times its denominator are integral).
+
+        The powers stay grouped integer polynomials from one product to the
+        next; only the total is turned back into a Series.
+        """
         n_max = self.truncation
         coeffs = [Fraction(coeff(n)) for n in range(n_max + 1)]
         numerators, den = clear_denominators(self.terms)
-        base = Series._from_terms(n_max, numerators)
+        base = _grouped(numerators)
         total_den = lcm(*[c.denominator for c in coeffs]) * den**n_max
-        total, power = Series(n_max), Series.one(n_max)
+        total, power = {}, {(0, False): {(): 1}}
         for n, c in enumerate(coeffs):
             if n:
-                power = power * base
+                power = _word_product(power, base, n_max)
             factor = c.numerator * (total_den // (c.denominator * den**n))
-            total = total + power.scale(factor)
-        return total.scale(Fraction(1, total_den))
+            if factor:
+                for group in power.values():
+                    for w, v in group.items():
+                        total[w] = total.get(w, 0) + factor * v
+        return Series._from_terms(n_max, divided(total, total_den))
 
     def exp(self):
         if self.constant:
@@ -334,16 +357,52 @@ def bracket_expand(term: BracketTerm, truncation: int) -> Series:
     return bracket_value(term, _expansions(truncation))
 
 
-def _fit_degree(terms, series, degree):
-    """Exact coefficients of ``terms`` matching one degree component of ``series``.
+def _by_degree(terms):
+    """The components of a word vector, keyed by word length, in one pass."""
+    components = {}
+    for w, c in terms.items():
+        components.setdefault(len(w), {})[w] = c
+    return components
 
-    Returns one coefficient per term, or None when the component lies
-    outside the span of the expanded terms.  Each expansion is homogeneous
-    of degree ``degree``, so tuple order is the ``_word_key`` order.
+
+def _even_words(terms):
+    return {w: c for w, c in terms.items() if _ODD_LETTERS.isdisjoint(w)}
+
+
+def _fit_degree(terms, target, truncation):
+    """Exact coefficients of ``terms`` summing to the word vector ``target``.
+
+    ``terms`` are bracket expressions of one degree d and ``target`` a
+    degree-d component.  The system is solved on the even words only (odd
+    letters set to zero), where ``terms`` must keep their full rank, so
+    the solution is the unique one; it is then checked exactly on every
+    word of the degree.  Returns one coefficient per term, or None when
+    ``target`` lies outside the span of the expanded terms.  Raises
+    LostRank if the even words do not keep the rank: the even solve then
+    decides nothing.
     """
-    columns = [bracket_expand(term, series.truncation).terms for term in terms]
-    target = series.degree_component(degree).terms
-    return solve_columns(columns, target)
+    columns = [bracket_expand(term, truncation).terms for term in terms]
+    span = FractionSpan(track=True)
+    for col in columns:
+        span.add(_even_words(col))
+    if span.dim < len(columns):
+        raise LostRank(
+            f"the even words keep rank {span.dim} of the {len(columns)} "
+            f"bracket terms of degree {terms[0].degree()}"
+        )
+    residual, combo = span.reduce(_even_words(target))
+    if residual:
+        return None
+    solution = [combo.get(j, Fraction(0)) for j in range(len(columns))]
+    # target - sum(c_j * col_j), cleared of every denominator, must vanish
+    den = lcm(*[c.denominator for c in (*target.values(), *solution)])
+    check = {w: c.numerator * (den // c.denominator) for w, c in target.items()}
+    for c, col in zip(solution, columns):
+        if c:
+            factor = c.numerator * (den // c.denominator)
+            for w, v in col.items():
+                check[w] = check.get(w, 0) - factor * v
+    return None if any(check.values()) else solution
 
 
 def printed_series_terms():
@@ -450,6 +509,7 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
     ]
 
     counts = Counter(term for _, term in listing)
+    components = _by_degree(computed.terms)
     duplicates = []
     for term, count in counts.items():
         if count < 2:
@@ -462,7 +522,7 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
         for _, t in listing:
             if t.degree() == degree and t not in distinct:
                 distinct.append(t)
-        solution = _fit_degree(distinct, computed, degree)
+        solution = _fit_degree(distinct, components.get(degree, {}), truncation)
         entry = {
             "form": bracket_string(term),
             "degree": degree,
@@ -495,9 +555,14 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
 # expand.  The computed series is a combination of such monomials because
 # conjugating exp(x) by E0(u) replaces x with its angle-wrapped expansion,
 # after which the whole series is a commutator series in the two dressed
-# arguments.  The fit solves the exact linear system in word coordinates;
-# the witness is deterministic but not claimed unique, since the
-# monomials may be linearly dependent.
+# arguments.  The monomials are independent, and stay so on the even
+# words: with the odd letters set to zero the wrapped letters become
+# ad_{u0}^k x0 and ad_{w0}^k y0, which freely generate a free Lie
+# subalgebra (Lazard elimination), and the standard bracketings of Lyndon
+# words are a basis of a free Lie algebra (Reutenauer, Free Lie Algebras,
+# 1993, ch. 0.4 and 5).  So the fit solves on the even words, gets the
+# unique solution and checks it exactly on every word; the rank is
+# checked on every call and tested for every degree up to MAX_TRUNCATION.
 
 
 @dataclass(frozen=True, order=True)
@@ -570,13 +635,14 @@ def bracket_basis_fit(truncation: int):
     Returns ``[(BracketTerm, Fraction), ...]`` covering degrees 1 through
     ``truncation`` with zero coefficients dropped.  Raises
     InconsistentSystem if some degree component falls outside the
-    monomial span, which would mean the series engine is wrong.
+    monomial span, which would mean the series engine is wrong.  The
+    components are split off the series in one pass.
     """
-    z = extended_bch(truncation)
+    components = _by_degree(extended_bch(truncation).terms)
     out = []
     for degree in range(1, truncation + 1):
         terms = _lyndon_monomials(degree)
-        solution = _fit_degree(terms, z, degree)
+        solution = _fit_degree(terms, components.get(degree, {}), truncation)
         if solution is None:
             raise InconsistentSystem(
                 f"degree {degree} component is outside the bracket span"

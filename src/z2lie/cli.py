@@ -234,8 +234,19 @@ def cmd_invert(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose argv errors are one ``error:`` line and exit 2.
+
+    Subcommand parsers are made by ``add_parser`` with the class of their
+    parent, so they report the same way; ``--help`` still exits 0.
+    """
+
+    def error(self, message):
+        self.exit(_usage_error(message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="z2lie",
         description="Z2-graded algebras, bracket identities, and the extended exponential series",
     )

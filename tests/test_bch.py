@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 
 from bch_oracle import classical_bch_words, graded_expansion
 from z2lie.bch import (
+    MAX_TRUNCATION,
     BadConstantTerm,
+    InconsistentSystem,
+    LostRank,
     Series,
     TruncationMismatch,
+    _even_words,
+    _fit_degree,
+    _is_odd,
     _lyndon_monomials,
     angle_term,
     bracket_basis_fit,
@@ -23,6 +29,7 @@ from z2lie.bch import (
     printed_series_terms,
     square_term,
 )
+from z2lie.linalg import FractionSpan
 
 X0, X1, Y0, Y1, U0, U1, W0, W1 = range(8)
 
@@ -313,3 +320,45 @@ def test_inconsistent_fit_is_surfaced(monkeypatch):
     monkeypatch.setattr(bch_mod, "extended_bch", lambda n: fake)
     with pytest.raises(bch_mod.InconsistentSystem):
         bch_mod.bracket_basis_fit(2)
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_TRUNCATION + 1))
+def test_even_words_keep_the_rank_of_the_lyndon_monomials(degree):
+    # with the odd letters set to zero the wrapped letters become
+    # ad_{u0}^k x0 and ad_{w0}^k y0, free generators of a free Lie
+    # subalgebra, so the even fit of bracket_basis_fit is unique
+    terms = _lyndon_monomials(degree)
+    span = FractionSpan()
+    for term in terms:
+        span.add(_even_words(bracket_expand(term, degree).terms))
+    assert span.dim == len(terms)
+
+
+def test_fit_refuses_terms_dependent_on_the_even_words():
+    # <x,u> and [x,u] differ only on words with u1, so the even solve
+    # cannot tell them apart: even a target in their span is no verdict
+    x, u = gen("x"), gen("u")
+    terms = [angle_term(x, u), square_term(x, u)]
+    target = bracket_expand(square_term(x, u), 2).terms
+    with pytest.raises(LostRank, match="rank 1 of the 2"):
+        _fit_degree(terms, target, 2)
+
+
+def _perturbed_bch_7(odd):
+    """extended_bch(7) with 1 added to the coefficient of its first degree-7
+    word of the given parity, as a fresh Series."""
+    z = extended_bch(7)
+    word = min(w for w in z.terms if len(w) == 7 and _is_odd(w) == odd)
+    return Series(7, {**z.terms, word: z.terms[word] + 1})
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["odd-word", "even-word"])
+def test_fit_checks_every_word(monkeypatch, odd):
+    # an odd word leaves the even solve unchanged: only the check on every
+    # word of the degree can see the changed coefficient
+    import z2lie.bch as bch_mod
+
+    perturbed = _perturbed_bch_7(odd)
+    monkeypatch.setattr(bch_mod, "extended_bch", lambda n: perturbed)
+    with pytest.raises(InconsistentSystem, match="degree 7"):
+        bracket_basis_fit(7)

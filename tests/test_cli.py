@@ -209,6 +209,16 @@ def test_unreadable_definition_is_input_error(tmp_path, capsys, raw):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("structconst", [5, "abc", {"a": 1}], ids=["int", "string", "object"])
+def test_structconst_that_is_not_a_list_is_input_error(tmp_path, capsys, structconst):
+    path = tmp_path / "bad-structconst.json"
+    path.write_text(json.dumps({**_DUAL_NUMBERS, "structconst": structconst}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "structconst and its rows must be lists" in err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -432,6 +442,34 @@ def test_usage_error_exit_code():
     assert main([]) == 2
 
 
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    degree=st.text(max_size=8).filter(lambda t: not _is_int(t))
+    | st.integers().filter(lambda n: not 1 <= n <= 8).map(str)
+)
+def test_bad_bch_degree_is_one_error_line(degree):
+    # argparse's own errors (not an int) and the range check (an int out
+    # of 1..8) report alike: exit 2, one error line, nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bch", "--degree", degree])
+    assert code == 2 and not out.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["bch", "--help"]) == 0
+    assert "--degree" in capsys.readouterr().out
+
+
 _NUMPY_BOUNDARY_CHILD = """
 import contextlib, io, json, sys
 from z2lie.cli import main
@@ -498,6 +536,7 @@ GOLDEN_SHA256 = {
     ("bch", "--degree", "5"): "6f9439a12e8206836c24368f9b145068029d665afe5399f9b64b9706dea50c33",
     ("bch", "--degree", "6"): "d855b0c946765c709c17ca00ad103228b0b808126bfaed9243b32301192a444e",
     ("bch", "--degree", "7"): "a9373e72fff608ef7583eb1bebdfdc5d56aa367a113f946a53fb69fe9a1cc039",
+    ("bch", "--degree", "8"): "0a62335abd1453142aa4a8e76d023bb838ef44e76c8ddbbdcd5c57926a0ad43f",
     ("verify", "H", "--trials", "20"): "8ee5fef7d1c0d4fe2b53b927cab1d4af1fe146862c18cb424335ad9fd2e0d612",
     ("verify", "C-2", "--trials", "20"): "0b2a42438e4d5382c0cfe2fa8d6642d86d952e68fd409eac7a4e3954c38a14ab",
     ("verify", "O-2", "--trials", "20"): "b6e4e2de50754e172c8ab4d69aabc2bc7e0cfd7e59a14d5f20ecb75b8955e86c",
