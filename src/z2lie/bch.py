@@ -10,6 +10,9 @@ Words with no odd letter are even, words with exactly one are odd.
 A :class:`Series` is a finite rational linear combination of such words up
 to a fixed truncation degree (an int-or-``Fraction`` :class:`linalg.ExactVector`,
 like an algebra ``Element``), with formal exp, log and geometric inverse.
+Its words are keyed by int codes (a leading 1, then 3 bits per letter),
+and a product runs on both factors cleared of denominators and grouped by
+word length and parity, a form each Series computes once.
 The central computation is
 
     z = log( E0(u) * exp(x) * E0(u)^-1 * E0(w) * exp(y) * E0(w)^-1 )
@@ -53,30 +56,71 @@ class LostRank(Exception):
 
 GENERATOR_NAMES = ("x0", "x1", "y0", "y1", "u0", "u1", "w0", "w1")
 _LETTER = {name: i for i, name in enumerate(GENERATOR_NAMES)}
-_ODD_LETTERS = frozenset(range(1, len(GENERATOR_NAMES), 2))
 SYMBOLS = ("x", "y", "u", "w")
 
 MAX_TRUNCATION = 8
 
+# A word is coded as the int with binary digits 1, then one 3-bit digit per
+# letter: () -> 1, (x0,) -> 0o10, (x1, y0) -> 0o112.  Codes of one length
+# sort as their words do, shorter codes sort first, and a word of length
+# db is appended to a code by shifting it 3*db bits and or-ing in the
+# appended code without its leading 1.  Odd letters have the low bit set.
 
-def _word_key(word):
-    return (len(word), word)
+
+def _encode(word):
+    code = 1
+    for letter in word:
+        if not 0 <= letter < len(GENERATOR_NAMES):
+            raise ValueError(f"letter {letter!r} is not one of 0..7")
+        code = (code << 3) | letter
+    return code
 
 
-def _is_odd(word):
-    """Whether a word with at most one odd letter is odd."""
-    return not _ODD_LETTERS.isdisjoint(word)
+def _decode(code):
+    word = []
+    while code > 1:
+        word.append(code & 7)
+        code >>= 3
+    return tuple(reversed(word))
+
+
+def word_length(code):
+    """The number of letters of a coded word."""
+    return (code.bit_length() - 1) // 3
+
+
+def _odd_slots(length):
+    """The low bit of each letter of a code of ``length`` letters."""
+    return ((1 << 3 * length) - 1) // 7
+
+
+def _is_odd(code):
+    """Whether a coded word with at most one odd letter is odd."""
+    return bool(code & _odd_slots(word_length(code)))
 
 
 def word_name(word):
     return " ".join(GENERATOR_NAMES[letter] for letter in word) if word else "1"
 
 
-def _grouped(numerators):
-    """Integer coefficients grouped by word length and parity."""
+def _grouped(terms):
+    """The coded terms grouped by word length and parity."""
+    lengths = sorted((bits - 1) // 3 for bits in set(map(int.bit_length, terms)))
     groups = {}
-    for w, c in numerators.items():
-        groups.setdefault((len(w), not _ODD_LETTERS.isdisjoint(w)), {})[w] = c
+    for length in lengths:
+        low, high = 1 << 3 * length, 1 << 3 * (length + 1)
+        part = (
+            terms
+            if len(lengths) == 1
+            else {w: c for w, c in terms.items() if low <= w < high}
+        )
+        odd = _odd_slots(length)
+        for parity, group in (
+            (False, {w: c for w, c in part.items() if not w & odd}),
+            (True, {w: c for w, c in part.items() if w & odd}),
+        ):
+            if group:
+                groups[length, parity] = group
     return groups
 
 
@@ -85,16 +129,22 @@ def _word_product(left, right, truncation):
 
     A product of words of lengths da, db and parities oa, ob has length
     da + db and is odd when either factor is, so each pair of input groups
-    feeds exactly one output group.
+    feeds exactly one output group.  The right-hand codes of each group
+    are stripped of their leading 1 once, and each left-hand code is
+    shifted once per right-hand group.
     """
     out = {}
-    for (da, oa), terms_a in left.items():
-        for (db, ob), terms_b in right.items():
+    for (db, ob), terms_b in right.items():
+        shift = 3 * db
+        lead = 1 << shift
+        stripped = [(wb ^ lead, cb) for wb, cb in terms_b.items()]
+        for (da, oa), terms_a in left.items():
             if da + db <= truncation and not (oa and ob):
                 acc = out.setdefault((da + db, oa or ob), {})
                 for wa, ca in terms_a.items():
-                    for wb, cb in terms_b.items():
-                        w = wa + wb
+                    wa <<= shift
+                    for wb, cb in stripped:
+                        w = wa | wb
                         acc[w] = acc.get(w, 0) + ca * cb
     return {
         key: nonzero
@@ -104,29 +154,46 @@ def _word_product(left, right, truncation):
 
 
 class Series(ExactVector):
-    """Truncated rational word polynomial in the eight graded generators."""
+    """Truncated rational word polynomial in the eight graded generators.
 
-    __slots__ = ("truncation", "terms")
+    ``terms`` maps word codes to nonzero int or ``Fraction`` coefficients;
+    the constructor takes tuple words and :meth:`word_terms` gives them
+    back.  A Series is not mutated once built: it caches its terms cleared
+    of denominators and grouped by length and parity, the operand form of
+    a product, on first use.
+    """
+
+    __slots__ = ("truncation", "terms", "_cleared")
 
     def __init__(self, truncation, terms=None):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         clean = {}
         for word, coeff in (terms or {}).items():
-            coeff = exact(coeff)
+            code, coeff = _encode(word), exact(coeff)
             odd_letters = sum(letter & 1 for letter in word)
             if coeff and len(word) <= truncation and odd_letters < 2:
-                clean[word] = coeff
+                clean[code] = coeff
         self.truncation = truncation
         self.terms = clean
+        self._cleared = None
 
     @classmethod
-    def _from_terms(cls, truncation, terms):
-        """A Series taking ``terms`` as is: clean words, nonzero ints or Fractions."""
+    def _from_terms(cls, truncation, terms, cleared=None):
+        """A Series taking coded ``terms`` as is (nonzero ints or Fractions
+        within the quotient), and ``cleared`` as its operand form if given."""
         out = object.__new__(cls)
         out.truncation = truncation
         out.terms = terms
+        out._cleared = cleared
         return out
+
+    def _operand(self):
+        """``(groups, den)``: the terms times ``den``, grouped ints, made once."""
+        if self._cleared is None:
+            numerators, den = clear_denominators(self.terms)
+            self._cleared = _grouped(numerators), den
+        return self._cleared
 
     # -- constructors -----------------------------------------------------
 
@@ -148,10 +215,14 @@ class Series(ExactVector):
 
     @property
     def constant(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get(1, Fraction(0))
 
     def coefficient(self, word):
-        return self.terms.get(tuple(word), Fraction(0))
+        return self.terms.get(_encode(word), Fraction(0))
+
+    def word_terms(self):
+        """The terms keyed by tuple words."""
+        return {_decode(code): c for code, c in self.terms.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -159,8 +230,8 @@ class Series(ExactVector):
         return self.truncation == other.truncation and self.terms == other.terms
 
     def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda kv: _word_key(kv[0]))
-        body = " + ".join(f"{c}*{word_name(w)}" for w, c in items[:6])
+        items = sorted(self.terms.items())
+        body = " + ".join(f"{c}*{word_name(_decode(w))}" for w, c in items[:6])
         if len(items) > 6:
             body += f" + ... ({len(items)} terms)"
         return f"Series(N={self.truncation}, {body or '0'})"
@@ -187,17 +258,22 @@ class Series(ExactVector):
             return self.scale(other)
         self._compatible(other)
         n = self.truncation
-        left, den_a = clear_denominators(self.terms)
-        right, den_b = clear_denominators(other.terms)
-        product = _word_product(_grouped(left), _grouped(right), n)
-        terms = {w: c for group in product.values() for w, c in group.items()}
+        left, den_a = self._operand()
+        right, den_b = other._operand()
+        product = _word_product(left, right, n)
+        terms = {}
+        for group in product.values():
+            terms.update(group)
         den = den_a * den_b
-        return Series._from_terms(n, terms if den == 1 else divided(terms, den))
+        if den == 1:
+            return Series._from_terms(n, terms, (product, 1))
+        return Series._from_terms(n, divided(terms, den))
 
     # -- grading -------------------------------------------------------------
 
     def degree_component(self, degree):
-        return self._select(lambda w: len(w) == degree)
+        low, high = 1 << 3 * degree, 1 << 3 * (degree + 1)
+        return self._select(lambda code: low <= code < high)
 
     def substitute_zero(self, *symbols):
         """Set whole generators to zero, e.g. substitute_zero("u", "w")."""
@@ -205,7 +281,7 @@ class Series(ExactVector):
         for symbol in symbols:
             base = 2 * SYMBOLS.index(symbol)
             drop.update((base, base + 1))
-        return self._select(lambda w: drop.isdisjoint(w))
+        return self._select(lambda code: drop.isdisjoint(_decode(code)))
 
     # -- exp / log / inverse ------------------------------------------------------
 
@@ -218,10 +294,9 @@ class Series(ExactVector):
         """
         n_max = self.truncation
         coeffs = [Fraction(coeff(n)) for n in range(n_max + 1)]
-        numerators, den = clear_denominators(self.terms)
-        base = _grouped(numerators)
+        base, den = self._operand()
         total_den = lcm(*[c.denominator for c in coeffs]) * den**n_max
-        total, power = {}, {(0, False): {(): 1}}
+        total, power = {}, {(0, False): {1: 1}}
         for n, c in enumerate(coeffs):
             if n:
                 power = _word_product(power, base, n_max)
@@ -292,6 +367,16 @@ class BracketTerm:
     left: "BracketTerm | None" = None
     right: "BracketTerm | None" = None
 
+    def __post_init__(self):
+        # the hash of a node, from its children's cached hashes; equality
+        # still compares whole trees
+        object.__setattr__(
+            self, "_hash", hash((self.op, self.name, self.left, self.right))
+        )
+
+    def __hash__(self):
+        return self._hash
+
     def degree(self):
         if self.op == "gen":
             return 1
@@ -357,40 +442,32 @@ def bracket_expand(term: BracketTerm, truncation: int) -> Series:
     return bracket_value(term, _expansions(truncation))
 
 
-def _by_degree(terms):
-    """The components of a word vector, keyed by word length, in one pass."""
-    components = {}
-    for w, c in terms.items():
-        components.setdefault(len(w), {})[w] = c
-    return components
+def _fit_degree(terms, components, truncation):
+    """Exact coefficients of ``terms`` summing to a degree component of a series.
 
-
-def _even_words(terms):
-    return {w: c for w, c in terms.items() if _ODD_LETTERS.isdisjoint(w)}
-
-
-def _fit_degree(terms, target, truncation):
-    """Exact coefficients of ``terms`` summing to the word vector ``target``.
-
-    ``terms`` are bracket expressions of one degree d and ``target`` a
-    degree-d component.  The system is solved on the even words only (odd
-    letters set to zero), where ``terms`` must keep their full rank, so
-    the solution is the unique one; it is then checked exactly on every
-    word of the degree.  Returns one coefficient per term, or None when
-    ``target`` lies outside the span of the expanded terms.  Raises
-    LostRank if the even words do not keep the rank: the even solve then
-    decides nothing.
+    ``terms`` are bracket expressions of one degree d and ``components``
+    the series' terms grouped by :func:`_grouped`.  The system is solved
+    on the even words only (odd letters set to zero), where ``terms`` must
+    keep their full rank, so the solution is the unique one; it is then
+    checked exactly on every word of the degree.  Returns one coefficient
+    per term, or None when the degree-d component lies outside the span
+    of the expanded terms.  Raises LostRank if the even words do not keep
+    the rank: the even solve then decides nothing.
     """
-    columns = [bracket_expand(term, truncation).terms for term in terms]
+    degree = terms[0].degree()
+    even = components.get((degree, False), {})
+    target = {**even, **components.get((degree, True), {})}
+    columns = [bracket_expand(term, truncation) for term in terms]
     span = FractionSpan(track=True)
     for col in columns:
-        span.add(_even_words(col))
+        # the expansions are integral: their operand form is their terms, grouped
+        span.add(col._operand()[0].get((degree, False), {}))
     if span.dim < len(columns):
         raise LostRank(
             f"the even words keep rank {span.dim} of the {len(columns)} "
-            f"bracket terms of degree {terms[0].degree()}"
+            f"bracket terms of degree {degree}"
         )
-    residual, combo = span.reduce(_even_words(target))
+    residual, combo = span.reduce(even)
     if residual:
         return None
     solution = [combo.get(j, Fraction(0)) for j in range(len(columns))]
@@ -400,7 +477,7 @@ def _fit_degree(terms, target, truncation):
     for c, col in zip(solution, columns):
         if c:
             factor = c.numerator * (den // c.denominator)
-            for w, v in col.items():
+            for w, v in col.terms.items():
                 check[w] = check.get(w, 0) - factor * v
     return None if any(check.values()) else solution
 
@@ -488,18 +565,18 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
     )
     computed = extended_bch(truncation)
 
-    words = sorted(set(literal.terms) | set(computed.terms), key=_word_key)
     word_diffs = []
     dirty_degrees = set()
-    for w in words:
-        a = literal.coefficient(w)
-        b = computed.coefficient(w)
+    for w in sorted(set(literal.terms) | set(computed.terms)):
+        a = literal.terms.get(w, Fraction(0))
+        b = computed.terms.get(w, Fraction(0))
         if a != b:
-            dirty_degrees.add(len(w))
+            degree = word_length(w)
+            dirty_degrees.add(degree)
             word_diffs.append(
                 {
-                    "degree": len(w),
-                    "word": word_name(w),
+                    "degree": degree,
+                    "word": word_name(_decode(w)),
                     "listed": str(a),
                     "computed": str(b),
                 }
@@ -509,7 +586,7 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
     ]
 
     counts = Counter(term for _, term in listing)
-    components = _by_degree(computed.terms)
+    components = _grouped(computed.terms)
     duplicates = []
     for term, count in counts.items():
         if count < 2:
@@ -522,7 +599,7 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
         for _, t in listing:
             if t.degree() == degree and t not in distinct:
                 distinct.append(t)
-        solution = _fit_degree(distinct, components.get(degree, {}), truncation)
+        solution = _fit_degree(distinct, components, truncation)
         entry = {
             "form": bracket_string(term),
             "degree": degree,
@@ -565,21 +642,18 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
 # checked on every call and tested for every degree up to MAX_TRUNCATION.
 
 
-@dataclass(frozen=True, order=True)
-class _WrappedLetter:
-    family: int  # 0: x wrapped by u, 1: y wrapped by w
-    wraps: int
+# A wrapped letter is the pair (family, wraps): x wrapped by u ``wraps``
+# times for family 0, y wrapped by w for family 1.  Its weight is
+# 1 + wraps, and words of letters compare as plain tuples.
 
-    @property
-    def weight(self):
-        return 1 + self.wraps
 
-    def term(self):
-        symbol, wrapper = ("x", "u") if self.family == 0 else ("y", "w")
-        t = gen(symbol)
-        for _ in range(self.wraps):
-            t = angle_term(t, gen(wrapper))
-        return t
+def _wrapped_term(letter):
+    family, wraps = letter
+    symbol, wrapper = ("x", "u") if family == 0 else ("y", "w")
+    t = gen(symbol)
+    for _ in range(wraps):
+        t = angle_term(t, gen(wrapper))
+    return t
 
 
 def _words_of_weight(letters, weight):
@@ -587,9 +661,9 @@ def _words_of_weight(letters, weight):
         yield ()
         return
     for letter in letters:
-        if letter.weight > weight:
+        if 1 + letter[1] > weight:
             continue
-        for rest in _words_of_weight(letters, weight - letter.weight):
+        for rest in _words_of_weight(letters, weight - 1 - letter[1]):
             yield (letter,) + rest
 
 
@@ -604,7 +678,7 @@ def _is_lyndon(word):
 
 def _standard_bracketing(word):
     if len(word) == 1:
-        return word[0].term()
+        return _wrapped_term(word[0])
     # standard factorization: split before the longest proper Lyndon suffix
     for i in range(1, len(word)):
         if _is_lyndon(word[i:]):
@@ -615,14 +689,10 @@ def _standard_bracketing(word):
 
 
 def _lyndon_monomials(degree):
-    letters = [
-        _WrappedLetter(family, wraps)
-        for family in (0, 1)
-        for wraps in range(degree)
-    ]
+    letters = tuple((family, wraps) for family in (0, 1) for wraps in range(degree))
     words = [
         word
-        for word in _words_of_weight(tuple(letters), degree)
+        for word in _words_of_weight(letters, degree)
         if _is_lyndon(word)
     ]
     words.sort(key=lambda word: (len(word), word))
@@ -638,11 +708,11 @@ def bracket_basis_fit(truncation: int):
     monomial span, which would mean the series engine is wrong.  The
     components are split off the series in one pass.
     """
-    components = _by_degree(extended_bch(truncation).terms)
+    components = _grouped(extended_bch(truncation).terms)
     out = []
     for degree in range(1, truncation + 1):
         terms = _lyndon_monomials(degree)
-        solution = _fit_degree(terms, components.get(degree, {}), truncation)
+        solution = _fit_degree(terms, components, truncation)
         if solution is None:
             raise InconsistentSystem(
                 f"degree {degree} component is outside the bracket span"

@@ -37,6 +37,7 @@ from .bch import (
     compare_printed_series,
     extended_bch,
     format_bracket_series,
+    word_length,
 )
 from .brackets import verify_identities
 from .catalog import (
@@ -144,8 +145,9 @@ def cmd_bch(args):
     fit = bracket_basis_fit(args.degree)
     comparison = compare_printed_series(min(args.degree, 4))
     counts = {}
-    for word in series.terms:
-        counts[str(len(word))] = counts.get(str(len(word)), 0) + 1
+    for code in series.terms:
+        length = str(word_length(code))
+        counts[length] = counts.get(length, 0) + 1
     doc = {
         "truncation": args.degree,
         "terms": [

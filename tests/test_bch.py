@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bch_oracle import classical_bch_words, graded_expansion
+from bch_oracle import classical_bch_words, graded_expansion, poly_exp, poly_mul
 from z2lie.bch import (
     MAX_TRUNCATION,
     BadConstantTerm,
@@ -13,8 +14,10 @@ from z2lie.bch import (
     LostRank,
     Series,
     TruncationMismatch,
-    _even_words,
+    _decode,
+    _encode,
     _fit_degree,
+    _grouped,
     _is_odd,
     _lyndon_monomials,
     angle_term,
@@ -28,6 +31,7 @@ from z2lie.bch import (
     gen,
     printed_series_terms,
     square_term,
+    word_length,
 )
 from z2lie.linalg import FractionSpan
 
@@ -50,7 +54,7 @@ def test_odd_odd_words_vanish():
 def test_even_concatenation():
     x0 = Series.generator("x0", 4)
     y0 = Series.generator("y0", 4)
-    assert (x0 * y0).terms == {(X0, Y0): Fraction(1)}
+    assert (x0 * y0).word_terms() == {(X0, Y0): Fraction(1)}
 
 
 def test_constructor_applies_quotient_and_truncation():
@@ -61,7 +65,12 @@ def test_constructor_applies_quotient_and_truncation():
         (Y0,): Fraction(2),
     }
     out = Series(4, raw)
-    assert out.terms == {(Y0,): Fraction(2)}
+    assert out.word_terms() == {(Y0,): Fraction(2)}
+
+
+def test_constructor_refuses_unknown_letters():
+    with pytest.raises(ValueError, match="letter 8"):
+        Series(3, {(X0, 8): 1})
 
 
 def test_truncation_mismatch():
@@ -94,17 +103,64 @@ def test_log_exp_roundtrip_other_direction():
     assert (one + t).log().exp() == one + t
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    st.dictionaries(
-        st.lists(st.sampled_from([X0, Y0, U1, W0]), min_size=1, max_size=2).map(tuple),
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-        max_size=4,
-    )
+def _quotient(poly):
+    """The words of a tuple-word polynomial with at most one odd letter."""
+    return {w: c for w, c in poly.items() if sum(l & 1 for l in w) < 2}
+
+
+def _check_code(word):
+    code = _encode(word)
+    assert _decode(code) == word
+    assert word_length(code) == len(word)
+    assert _is_odd(code) == any(l & 1 for l in word)
+    assert list(_grouped({code: 1})) == [(len(word), any(l & 1 for l in word))]
+
+
+def test_codes_round_trip_every_short_word():
+    words = [w for n in range(6) for w in product(range(8), repeat=n)]
+    for word in words:
+        _check_code(word)
+    # codes sort as (length, word)
+    assert sorted(words, key=_encode) == sorted(words, key=lambda w: (len(w), w))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 7), min_size=6, max_size=MAX_TRUNCATION).map(tuple))
+def test_codes_round_trip_long_words(word):
+    _check_code(word)
+
+
+_WORD_SERIES = st.dictionaries(
+    st.lists(st.integers(0, 7), max_size=3).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    max_size=4,
 )
-def test_exp_log_roundtrip_random(terms):
-    series = Series(4, {w: c for w, c in terms.items()})
-    assert series.exp().log() == series
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, MAX_TRUNCATION), _WORD_SERIES, _WORD_SERIES)
+def test_products_match_the_tuple_word_oracle(n, a, b):
+    a, b = Series(n, a), Series(n, b)
+    expected = _quotient(poly_mul(a.word_terms(), b.word_terms(), n))
+    assert (a * b).word_terms() == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, MAX_TRUNCATION),
+    st.dictionaries(
+        st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        max_size=4,
+    ),
+)
+def test_exp_log_roundtrip_random(n, terms):
+    # exp against the tuple-word oracle, which works in the free algebra:
+    # the words with two odd letters span an ideal, so it may drop them last
+    series = Series(n, terms)
+    exp = series.exp()
+    assert exp.word_terms() == _quotient(poly_exp(series.word_terms(), n))
+    assert exp.log() == series
 
 
 def test_mul_associative_and_unital():
@@ -133,13 +189,13 @@ def test_even_part_of_exp_is_exp_of_even_part():
 def test_series_split_into_even_and_odd():
     z = extended_bch(3)
     assert z.even_part() + z.odd_part() == z
-    for word in z.odd_part().terms:
+    for word in z.odd_part().word_terms():
         assert sum(l & 1 for l in word) == 1
 
 
 def test_bracket_expand_angle():
     expanded = bracket_expand(angle_term(gen("x"), gen("u")), 2)
-    assert expanded.terms == {
+    assert expanded.word_terms() == {
         (X0, U0): Fraction(1),
         (X1, U0): Fraction(1),
         (U0, X0): Fraction(-1),
@@ -149,7 +205,7 @@ def test_bracket_expand_angle():
 
 def test_bracket_expand_square_even_projection():
     expanded = bracket_expand(square_term(gen("x"), gen("y")), 2).even_part()
-    assert expanded.terms == {
+    assert expanded.word_terms() == {
         (X0, Y0): Fraction(1),
         (Y0, X0): Fraction(-1),
     }
@@ -161,7 +217,7 @@ def test_integer_coefficients_stay_ints_and_compare_as_fractions():
         for term in _lyndon_monomials(degree):
             assert all(type(c) is int for c in bracket_expand(term, 5).terms.values())
     ints = bracket_expand(square_term(gen("x"), angle_term(gen("y"), gen("w"))), 4)
-    fracs = Series(4, {w: Fraction(c) for w, c in ints.terms.items()})
+    fracs = Series(4, {w: Fraction(c) for w, c in ints.word_terms().items()})
     assert all(type(c) is Fraction for c in fracs.terms.values())
     assert ints == fracs and fracs == ints
     assert repr(ints) == repr(fracs)
@@ -171,7 +227,7 @@ def test_integer_coefficients_stay_ints_and_compare_as_fractions():
 
 def test_extended_bch_degree_one():
     z = extended_bch(1)
-    assert z.terms == {
+    assert z.word_terms() == {
         (X0,): Fraction(1),
         (X1,): Fraction(1),
         (Y0,): Fraction(1),
@@ -198,8 +254,8 @@ def test_extended_bch_degree_three_wrapped_component():
         angle_term(angle_term(gen("x"), gen("u")), gen("u")), 3
     ).scale(Fraction(1, 2))
     symbols = lambda word: sorted(l >> 1 for l in word)
-    got = {w: c for w, c in z3.terms.items() if symbols(w) == [0, 2, 2]}
-    assert got == expected.terms
+    got = {w: c for w, c in z3.word_terms().items() if symbols(w) == [0, 2, 2]}
+    assert got == expected.word_terms()
 
 
 def test_oracle_self_check():
@@ -221,9 +277,9 @@ def test_oracle_self_check():
 def test_extended_bch_reduces_to_classical_oracle():
     for n in (2, 3, 4, 5):
         specialized = extended_bch(n).substitute_zero("u", "w")
-        assert specialized.terms == graded_expansion(classical_bch_words(n), n)
+        assert specialized.word_terms() == graded_expansion(classical_bch_words(n), n)
         # and no u/w letter survives the substitution
-        for word in specialized.terms:
+        for word in specialized.word_terms():
             assert all(l < 4 for l in word)
 
 
@@ -330,7 +386,7 @@ def test_even_words_keep_the_rank_of_the_lyndon_monomials(degree):
     terms = _lyndon_monomials(degree)
     span = FractionSpan()
     for term in terms:
-        span.add(_even_words(bracket_expand(term, degree).terms))
+        span.add(bracket_expand(term, degree).even_part().terms)
     assert span.dim == len(terms)
 
 
@@ -339,7 +395,7 @@ def test_fit_refuses_terms_dependent_on_the_even_words():
     # cannot tell them apart: even a target in their span is no verdict
     x, u = gen("x"), gen("u")
     terms = [angle_term(x, u), square_term(x, u)]
-    target = bracket_expand(square_term(x, u), 2).terms
+    target = _grouped(bracket_expand(square_term(x, u), 2).terms)
     with pytest.raises(LostRank, match="rank 1 of the 2"):
         _fit_degree(terms, target, 2)
 
@@ -347,9 +403,9 @@ def test_fit_refuses_terms_dependent_on_the_even_words():
 def _perturbed_bch_7(odd):
     """extended_bch(7) with 1 added to the coefficient of its first degree-7
     word of the given parity, as a fresh Series."""
-    z = extended_bch(7)
-    word = min(w for w in z.terms if len(w) == 7 and _is_odd(w) == odd)
-    return Series(7, {**z.terms, word: z.terms[word] + 1})
+    terms = extended_bch(7).word_terms()
+    word = min(w for w in terms if len(w) == 7 and sum(l & 1 for l in w) == odd)
+    return Series(7, {**terms, word: terms[word] + 1})
 
 
 @pytest.mark.parametrize("odd", [True, False], ids=["odd-word", "even-word"])

@@ -362,6 +362,15 @@ def _minimum_budget(p, q):
     return p * p + q * q + p * q + 1
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+def _report(text):
+    """The JSON report, refusing NaN and Infinity: json writes them as bare constants."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -369,14 +378,21 @@ def _minimum_budget(p, q):
         for p, q in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (1, 4)]
         for seed in range(4)
     ]
+    # the two long thin shapes
+    + [
+        ["--shape", f"{p},{q}", "--trials", str(_minimum_budget(p, q)), "--seed", str(seed)]
+        for p, q in [(1, 6), (7, 1)]
+        for seed in range(2)
+    ]
     # two budgets a few samples above the minimum, default seed
     + [["--shape", "2,3", "--trials", "20"], ["--shape", "2,2", "--trials", "13"]],
     ids=" ".join,
 )
 def test_correspond_minimum_budget_is_accepted(tmp_path, argv):
+    # exit 0 never comes with a NaN or an infinity in the report
     code, text = run(tmp_path, "correspond", *argv)
     assert code == 0
-    assert json.loads(text)["passed"] is True
+    assert _report(text)["passed"] is True
 
 
 def test_correspond_bad_shape(capsys):
@@ -402,6 +418,14 @@ def test_correspond_resolves_angles_below_the_arccos_floor(tmp_path):
     code, text = run(tmp_path, "correspond", "--shape", "2,2", "--trials", "40", "--tol", "1e-9")
     assert code == 0
     assert json.loads(text)["passed"] is True
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_verify_exit_zero_report_holds_no_nan(tmp_path, name):
+    code, text = run(tmp_path, "verify", name, "--trials", "5")
+    assert code in (0, 1)
+    if code == 0:
+        _report(text)
 
 
 def test_invert_dual_numbers(tmp_path):
