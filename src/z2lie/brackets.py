@@ -27,6 +27,12 @@ The basis phase reads two integer tables built once per call,
 ``angle(e_i, e_j)`` and ``square(e_i, e_j)`` over one common denominator,
 in the sparse row format of ``Z2Algebra._rows``; both brackets are
 bilinear, so the identities are evaluated on integer vectors through them.
+Every identity is linear in its last argument, so it is called once per
+head (the arguments before the last) on a batch of all ``e_l``, which the
+tables bracket pointwise; a bracket of the head alone is made once per
+head, not once per tuple.  The random phase draws one triple at a time,
+clears it of its denominators and multiplies through ``Z2Algebra._rows``
+itself, so it checks the tables against the multiplication table.
 """
 
 from __future__ import annotations
@@ -104,11 +110,78 @@ IDENTITIES = (
 class _Cleared(dict):
     """A sparse integer vector with ``+`` and ``-``, the tables' operand."""
 
+    __slots__ = ()
+
+    def _like(self, terms):
+        return _Cleared(terms)
+
     def __add__(self, other):
-        return _Cleared(vec_add(self, other))
+        return self._like(vec_add(self, other))
 
     def __sub__(self, other):
-        return _Cleared(vec_add(self, other, -1))
+        return self._like(vec_add(self, other, -1))
+
+
+class _Batch(dict):
+    """An expression's values at every last argument: ``l`` to its integer vector at ``e_l``.
+
+    Every identity is linear in its last argument, so an index whose value
+    is zero stays zero in every bracket and sum; it is left out.
+    """
+
+    def __add__(self, other):
+        return self._combined(other, 1)
+
+    def __sub__(self, other):
+        return self._combined(other, -1)
+
+    def _combined(self, other, scale):
+        out = _Batch(self)
+        for l, v in other.items():
+            w = vec_add(out.get(l, {}), v, scale)
+            if w:
+                out[l] = w
+            else:
+                del out[l]
+        return out
+
+
+class _RowVector(_Cleared):
+    """An integer vector of ``algebra``, multiplied through ``Z2Algebra._rows``."""
+
+    __slots__ = ("algebra",)
+
+    def _like(self, terms):
+        out = _RowVector(terms)
+        out.algebra = self.algebra
+        return out
+
+    def __mul__(self, other):
+        return self._like(bilinear(self.algebra._rows, self, other))
+
+    def even_part(self):
+        parity = self.algebra.parity
+        return self._like({k: c for k, c in self.items() if not parity[k]})
+
+
+def _row_vector(element):
+    """``element`` cleared of its denominators, as a :class:`_RowVector`."""
+    vector = _RowVector(clear_denominators(element.terms)[0])
+    vector.algebra = element.algebra
+    return vector
+
+
+def _table_bracket(table):
+    """The bracket of ``table`` on integer vectors, pointwise on a :class:`_Batch`."""
+
+    def bracket(u, v):
+        if type(u) is _Batch:
+            return _Batch((l, w) for l, a in u.items() if (w := bilinear(table, a, v)))
+        if type(v) is _Batch:
+            return _Batch((l, w) for l, b in v.items() if (w := bilinear(table, u, b)))
+        return _Cleared(bilinear(table, u, v))
+
+    return bracket
 
 
 def _bracket_tables(alg):
@@ -128,20 +201,42 @@ def _bracket_tables(alg):
     tables = [[[[] for _ in basis] for _ in basis] for _ in range(2)]
     for (t, i, j, k), c in numerators.items():
         tables[t][i][j].append((k, c))
-    return *(lambda u, v, t=t: _Cleared(bilinear(t, u, v)) for t in tables), den
+    return *map(_table_bracket, tables), den
 
 
-def _basis_arguments(dim, pattern):
+def _heads(dim, pattern):
+    """The arguments before the last one, in product order."""
     units = [_Cleared({i: 1}) for i in range(dim)]
+    if pattern == "triple":
+        return product(units, repeat=2)
     if pattern == "polarized_pair":
         # quadratic in the first argument: checking x = e_i + e_j over all
         # pairs covers the bilinear polarization, so this is complete
-        return product([x + y for x, y in product(units, repeat=2)], units)
-    return product(units, repeat=3 if pattern == "triple" else 2)
+        return ((x + y,) for x, y in product(units, repeat=2))
+    return ((x,) for x in units)
 
 
 def _witness(args, residual):
     return element_witness(*zip("xyz", args), ("residual", residual))
+
+
+def _basis_phase(alg, check, func, pattern, depth, tables):
+    """Record ``func`` on every basis tuple: one call per head, the last argument batched."""
+    table_angle, table_square, den = tables
+    last = _Batch((l, {l: 1}) for l in range(alg.dim))
+    for head in _heads(alg.dim, pattern):
+        residuals = func(table_angle, table_square, *head, last)
+        for l in range(alg.dim):
+            check.record_trial()
+            residual = residuals.get(l)
+            if residual:
+                witness = None
+                if check.witness_wanted:
+                    args = [*head, {l: 1}]
+                    elements = [Element._from_terms(alg, divided(v, 1)) for v in args]
+                    residual = Element._from_terms(alg, divided(residual, den**depth))
+                    witness = _witness(elements, residual)
+                check.record_failure(witness)
 
 
 def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
@@ -150,33 +245,37 @@ def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
     Each identity runs over all basis arguments (complete for multilinear
     identities, and polarization-complete for the quadratic one) and then
     over ``trials`` seeded random dense triples, the same triples for every
-    identity.  The basis phase runs on the integer tables; each identity
-    is homogeneous in bracket depth, so its residual is an integer vector
-    over ``den**depth``.  The random phase runs ``angle``/``square`` on
-    Elements, a cross-check of the tables.  Residuals are exact; any
-    nonzero residual stores the offending arguments.
+    identity.
+
+    The basis phase runs on the integer bracket tables, one call per head
+    (the arguments before the last) with the last argument batched over
+    every ``e_l``; each identity is homogeneous in bracket depth, so its
+    residual is an integer vector over ``den**depth``.  The random phase
+    draws one triple at a time, clears it of its denominators and runs
+    ``angle``/``square`` on integer vectors multiplied through
+    ``Z2Algebra._rows``, not the tables, so it cross-checks them.  The
+    terms of an identity share one denominator, so the integer residual
+    is zero exactly when the rational one is; a failure rebuilds the
+    ``Fraction`` residual from Elements while witness slots remain.
     """
-    rng = random.Random(seed)
-    samples = [tuple(random_element(alg, rng) for _ in range(3)) for _ in range(trials)]
-    table_angle, table_square, den = _bracket_tables(alg)
     report = VerificationReport(subject=f"bracket-identities:{alg.name}")
+    tables = _bracket_tables(alg)
+    checks = []
     for name, func, pattern, depth in IDENTITIES:
         check = report.check(name)
-        for args in _basis_arguments(alg.dim, pattern):
+        _basis_phase(alg, check, func, pattern, depth, tables)
+        checks.append((check, func))
+    rng = random.Random(seed)
+    for _ in range(trials):
+        sample = tuple(random_element(alg, rng) for _ in range(3))
+        cleared = tuple(map(_row_vector, sample))
+        for check, func in checks:
             check.record_trial()
-            residual = func(table_angle, table_square, *args)
-            if residual:
+            if func(angle, square, *cleared):
                 witness = None
                 if check.witness_wanted:
-                    elements = [Element._from_terms(alg, divided(v, 1)) for v in args]
-                    residual = Element._from_terms(alg, divided(residual, den**depth))
-                    witness = _witness(elements, residual)
+                    witness = _witness(sample, func(angle, square, *sample))
                 check.record_failure(witness)
-        for args in samples:
-            check.record_trial()
-            residual = func(angle, square, *args)
-            if not residual.is_zero():
-                check.record_failure(_witness(args, residual))
     return report
 
 

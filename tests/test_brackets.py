@@ -1,10 +1,12 @@
+import functools
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from z2lie.algebra import Element, random_element, validate_z2
+from z2lie.algebra import AlgebraDef, random_element, validate_z2
 from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
 from z2lie.brackets import (
     IDENTITIES,
@@ -124,8 +126,9 @@ def test_exhaustive_counts_are_pinned(name):
         assert check.failure_count == EXHAUSTIVE_FAILURES.get(name, {}).get(check.name, 0)
 
 
-def _element_loop_report(alg):
-    """verify_identities(alg, trials=0) as a plain loop over basis Elements."""
+@functools.lru_cache(maxsize=1)
+def _element_basis_residuals(alg):
+    """Per identity, ``(arguments, residual)`` on every basis tuple, as Elements."""
     basis = [alg.basis(i) for i in range(alg.dim)]
     arguments = {
         "triple": list(product(basis, repeat=3)),
@@ -133,33 +136,97 @@ def _element_loop_report(alg):
         # x = e_i + e_j, which is 2 e_i when i == j
         "polarized_pair": [(x + y, z) for x, y, z in product(basis, repeat=3)],
     }
+    return [
+        [(args, func(angle, square, *args)) for args in arguments[pattern]]
+        for _name, func, pattern, _depth in IDENTITIES
+    ]
+
+
+def _element_loop_report(alg, trials=0, seed=0):
+    """verify_identities(alg, trials, seed) as a plain loop over Elements.
+
+    The samples are drawn as verify_identities draws them: ``trials``
+    triples of ``random_element`` from one ``random.Random(seed)``.
+    """
+    rng = random.Random(seed)
+    samples = [tuple(random_element(alg, rng) for _ in range(3)) for _ in range(trials)]
     report = VerificationReport(subject=f"bracket-identities:{alg.name}")
-    for name, func, pattern, _depth in IDENTITIES:
+    for (name, func, _pattern, _depth), on_basis in zip(
+        IDENTITIES, _element_basis_residuals(alg)
+    ):
         check = report.check(name)
-        for args in arguments[pattern]:
+        on_samples = [(args, func(angle, square, *args)) for args in samples]
+        for args, residual in on_basis + on_samples:
             check.record_trial()
-            residual = func(angle, square, *args)
             if not residual.is_zero():
                 check.record_failure(element_witness(*zip("xyz", args), ("residual", residual)))
     return report.to_json_dict()
 
 
-@pytest.mark.parametrize("name", ["C-2", "O-2", "blockmat(2,1)", "O-2 rescaled"])
+def _one_off_algebra():
+    """A 4-dim algebra whose Leibniz identity fails on two basis triples.
+
+    ``e0`` is the unit, ``e3`` is odd, ``e1 e2 = e2`` and ``e3 e2 = (2/3) e3``.
+    The report keeps five witnesses, so random-phase witnesses enter it.
+    """
+    structconst = [(0, j, j, 1) for j in range(4)] + [(j, 0, j, 1) for j in range(1, 4)]
+    structconst += [(1, 2, 2, 1), (3, 2, 3, Fraction(2, 3))]
+    return validate_z2(
+        AlgebraDef(name="one-off", dim=4, parity=(0, 0, 0, 1), structconst=structconst,
+                   unit=[1, 0, 0, 0])
+    )
+
+
+@pytest.mark.parametrize("name", ["C-2", "O-2", "blockmat(2,1)", "O-2 rescaled", "one-off"])
 def test_bracket_tables_agree_with_elements(name, rescaled_o_minus_2):
     if name == "blockmat(2,1)":
         alg = block_matrix_algebra(2, 1)
     elif name == "O-2 rescaled":
         alg = validate_z2(rescaled_o_minus_2)
+    elif name == "one-off":
+        alg = _one_off_algebra()
     else:
         alg = catalog_algebra(name)
     table_angle, table_square, den = _bracket_tables(alg)
-    # the rescaled basis gives fractional constants; the others are integral
-    assert (den > 1) == (name == "O-2 rescaled")
+    # fractional constants give a common denominator above 1
+    assert (den > 1) == (name in ("O-2 rescaled", "one-off"))
     for i, j in product(range(alg.dim), repeat=2):
         e_i, e_j = alg.basis(i), alg.basis(j)
         assert divided(table_angle({i: 1}, {j: 1}), den) == angle(e_i, e_j).terms
         assert divided(table_square({i: 1}, {j: 1}), den) == square(e_i, e_j).terms
-    assert verify_identities(alg, trials=0).to_json_dict() == _element_loop_report(alg)
+    for seed in (0, 3):
+        expected = _element_loop_report(alg, trials=12, seed=seed)
+        assert verify_identities(alg, trials=12, seed=seed).to_json_dict() == expected
+
+
+def test_random_phase_witnesses_follow_the_basis_ones():
+    report = verify_identities(_one_off_algebra(), trials=12, seed=0)
+    leibniz = report.find("leibniz")
+    assert leibniz.trials == 4**3 + 12
+    # two basis triples fail, then at least three of the random ones
+    assert leibniz.failure_count >= 5
+    assert [w["residual"] for w in leibniz.failures[:2]] == [
+        ["0", "0", "0", "-2/3"],
+        ["0", "0", "0", "2/3"],
+    ]
+    assert any("/" in c for w in leibniz.failures[2:] for c in w["x"])
+
+
+def test_random_phase_memory_does_not_grow_with_trials():
+    # the triples are drawn one at a time and dropped; only witnesses are kept
+    alg = catalog_algebra("C")
+    verify_identities(alg, trials=1)
+    peaks = {}
+    for trials in (200, 2000):
+        tracemalloc.start()
+        try:
+            verify_identities(alg, trials=trials, seed=1)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # storing the triples would take about 1 KB each; allocator free lists
+    # may hold some 100 KB of recently freed small objects
+    assert peaks[2000] < peaks[200] + 256 * 1024, peaks
 
 
 def test_identity_report_serializes():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -487,6 +488,57 @@ def test_bad_bch_degree_is_one_error_line(degree):
         code = main(["bch", "--degree", degree])
     assert code == 2 and not out.getvalue()
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _is_rational(text):
+    try:
+        Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return False
+    return "e" not in text.lower()
+
+
+def _is_shape(text):
+    try:
+        p, q = map(int, text.split(","))
+    except ValueError:
+        return False
+    return p >= 1 and q >= 1 and p + q <= 8
+
+
+_NOT_INT = st.text(max_size=8).filter(lambda t: not _is_int(t))
+_BAD_ELEMENTS = st.one_of(
+    # R2 has dim 2, so any other number of valid parts is malformed
+    st.lists(st.integers(-3, 3).map(str), max_size=4).filter(lambda xs: len(xs) != 2).map(",".join),
+    st.tuples(st.text(max_size=6).filter(lambda t: not _is_rational(t)), st.just("1"))
+    .flatmap(lambda pair: st.sampled_from([",".join(pair), ",".join(pair[::-1])])),
+    st.sampled_from(["1e3,0", "0,2E-1", "1/0,1"]),
+)
+_BAD_SHAPES = st.one_of(
+    st.text(max_size=8),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(lambda pq: f"{pq[0]},{pq[1]}"),
+).filter(lambda t: not _is_shape(t))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    argv=st.one_of(
+        _NOT_INT.map(lambda t: ["verify", "C", f"--trials={t}"]),
+        st.integers(max_value=0).map(lambda n: ["verify", "C", f"--trials={n}"]),
+        _NOT_INT.map(lambda t: ["verify", "C", f"--seed={t}"]),
+        _BAD_ELEMENTS.map(lambda t: ["invert", "R2", f"--element={t}"]),
+        _BAD_SHAPES.map(lambda t: ["correspond", f"--shape={t}"]),
+    )
+)
+def test_bad_option_values_are_one_error_line(argv):
+    # only malformed values are drawn, so no check or sampler starts; the
+    # --opt=value form keeps a value such as "-h" from reading as an option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and not out.getvalue()
+    text = err.getvalue()
+    assert text.startswith("error: ") and text.count("\n") == 1 and "usage:" not in text
 
 
 def test_help_still_exits_zero(capsys):
