@@ -107,21 +107,6 @@ IDENTITIES = (
 )
 
 
-class _Cleared(dict):
-    """A sparse integer vector with ``+`` and ``-``, the tables' operand."""
-
-    __slots__ = ()
-
-    def _like(self, terms):
-        return _Cleared(terms)
-
-    def __add__(self, other):
-        return self._like(vec_add(self, other))
-
-    def __sub__(self, other):
-        return self._like(vec_add(self, other, -1))
-
-
 class _Batch(dict):
     """An expression's values at every last argument: ``l`` to its integer vector at ``e_l``.
 
@@ -146,7 +131,7 @@ class _Batch(dict):
         return out
 
 
-class _RowVector(_Cleared):
+class _RowVector(dict):
     """An integer vector of ``algebra``, multiplied through ``Z2Algebra._rows``."""
 
     __slots__ = ("algebra",)
@@ -155,6 +140,12 @@ class _RowVector(_Cleared):
         out = _RowVector(terms)
         out.algebra = self.algebra
         return out
+
+    def __add__(self, other):
+        return self._like(vec_add(self, other))
+
+    def __sub__(self, other):
+        return self._like(vec_add(self, other, -1))
 
     def __mul__(self, other):
         return self._like(bilinear(self.algebra._rows, self, other))
@@ -179,7 +170,7 @@ def _table_bracket(table):
             return _Batch((l, w) for l, a in u.items() if (w := bilinear(table, a, v)))
         if type(v) is _Batch:
             return _Batch((l, w) for l, b in v.items() if (w := bilinear(table, u, b)))
-        return _Cleared(bilinear(table, u, v))
+        return bilinear(table, u, v)
 
     return bracket
 
@@ -206,13 +197,13 @@ def _bracket_tables(alg):
 
 def _heads(dim, pattern):
     """The arguments before the last one, in product order."""
-    units = [_Cleared({i: 1}) for i in range(dim)]
+    units = [{i: 1} for i in range(dim)]
     if pattern == "triple":
         return product(units, repeat=2)
     if pattern == "polarized_pair":
         # quadratic in the first argument: checking x = e_i + e_j over all
         # pairs covers the bilinear polarization, so this is complete
-        return ((x + y,) for x, y in product(units, repeat=2))
+        return ((vec_add(x, y),) for x, y in product(units, repeat=2))
     return ((x,) for x in units)
 
 
