@@ -142,7 +142,7 @@ def _element_basis_residuals(alg):
     ]
 
 
-def _element_loop_report(alg, trials=0, seed=0):
+def _element_loop_report(alg, trials, seed):
     """verify_identities(alg, trials, seed) as a plain loop over Elements.
 
     The samples are drawn as verify_identities draws them: ``trials``
