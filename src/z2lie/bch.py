@@ -676,7 +676,10 @@ def _is_lyndon(word):
     return True
 
 
+@lru_cache(maxsize=None)
 def _standard_bracketing(word):
+    # cached, so the monomials of every degree share their subterm objects
+    # and a bracket_value memo hit is an identity check, not a tree walk
     if len(word) == 1:
         return _wrapped_term(word[0])
     # standard factorization: split before the longest proper Lyndon suffix

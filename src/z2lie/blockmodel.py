@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, isfinite, log2
 
 import numpy as np
@@ -545,8 +546,12 @@ def unit_matrices(shape: BlockShape, positions):
     return out
 
 
+@lru_cache(maxsize=None)
 def block_matrix_algebra(p, q) -> Z2Algebra:
-    """Exact structure-constant form of the block-triangular matrix algebra."""
+    """Exact structure-constant form of the block-triangular matrix algebra.
+
+    Validated once per shape; the handle is immutable, so it is shared.
+    """
     units = block_matrix_units(p, q)
     index = {rc: i for i, rc in enumerate(units)}
     parity = tuple(0 if (r < p) == (c < p) else 1 for r, c in units)

@@ -23,9 +23,9 @@ arguments and over seeded random exact triples, recording counterexample
 witnesses instead of raising.  Nothing is assumed about associativity; on
 a non-associative algebra the report simply shows which identities fail.
 
-The basis phase reads two integer tables built once per call,
-``angle(e_i, e_j)`` and ``square(e_i, e_j)`` over one common denominator,
-in the sparse row format of ``Z2Algebra._rows``; both brackets are
+The basis phase reads two integer tables, ``angle(e_i, e_j)`` and
+``square(e_i, e_j)``, read off ``Z2Algebra._rows`` once per call over its
+denominator and kept in the same sparse row format; both brackets are
 bilinear, so the identities are evaluated on integer vectors through them.
 Every identity is linear in its last argument, so it is called once per
 head (the arguments before the last) on a batch of all ``e_l``, which the
@@ -33,6 +33,8 @@ tables bracket pointwise; a bracket of the head alone is made once per
 head, not once per tuple.  The random phase draws one triple at a time,
 clears it of its denominators and multiplies through ``Z2Algebra._rows``
 itself, so it checks the tables against the multiplication table.
+Subalgebra generation brackets the integer echelon rows of its span the
+same way.
 """
 
 from __future__ import annotations
@@ -137,9 +139,7 @@ class _RowVector(dict):
     __slots__ = ("algebra",)
 
     def _like(self, terms):
-        out = _RowVector(terms)
-        out.algebra = self.algebra
-        return out
+        return _row_vector(self.algebra, terms)
 
     def __add__(self, other):
         return self._like(vec_add(self, other))
@@ -155,10 +155,10 @@ class _RowVector(dict):
         return self._like({k: c for k, c in self.items() if not parity[k]})
 
 
-def _row_vector(element):
-    """``element`` cleared of its denominators, as a :class:`_RowVector`."""
-    vector = _RowVector(clear_denominators(element.terms)[0])
-    vector.algebra = element.algebra
+def _row_vector(algebra, terms):
+    """The integer vector ``terms`` of ``algebra``, as a :class:`_RowVector`."""
+    vector = _RowVector(terms)
+    vector.algebra = algebra
     return vector
 
 
@@ -178,21 +178,17 @@ def _table_bracket(table):
 def _bracket_tables(alg):
     """``(angle, square, den)``: the brackets of integer vectors, times ``den``.
 
-    They read tables of ``angle``/``square`` on basis Elements, cleared of
-    their one common denominator ``den``.
+    ``square(e_i, e_j) = e_i e_j - e_j e_i``, and ``angle(e_i, e_j)`` is the
+    same for an even ``e_j`` and zero for an odd one, so both tables are
+    read off ``Z2Algebra._rows`` over its denominator ``den = alg._den``.
     """
-    basis = list(enumerate(alg.basis(i) for i in range(alg.dim)))
-    entries = {
-        (t, i, j, k): c
-        for t, bracket in enumerate((angle, square))
-        for (i, x), (j, y) in product(basis, repeat=2)
-        for k, c in bracket(x, y).terms.items()
-    }
-    numerators, den = clear_denominators(entries)
-    tables = [[[[] for _ in basis] for _ in basis] for _ in range(2)]
-    for (t, i, j, k), c in numerators.items():
-        tables[t][i][j].append((k, c))
-    return *map(_table_bracket, tables), den
+    rows, dim = alg._rows, alg.dim
+    square_rows = [
+        [tuple(vec_add(dict(rows[i][j]), dict(rows[j][i]), -1).items()) for j in range(dim)]
+        for i in range(dim)
+    ]
+    angle_rows = [[() if alg.parity[j] else row[j] for j in range(dim)] for row in square_rows]
+    return _table_bracket(angle_rows), _table_bracket(square_rows), alg._den
 
 
 def _heads(dim, pattern):
@@ -259,7 +255,7 @@ def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
     rng = random.Random(seed)
     for _ in range(trials):
         sample = tuple(random_element(alg, rng) for _ in range(3))
-        cleared = tuple(map(_row_vector, sample))
+        cleared = tuple(_row_vector(alg, clear_denominators(v.terms)[0]) for v in sample)
         for check, func in checks:
             check.record_trial()
             if func(angle, square, *cleared):
@@ -293,10 +289,13 @@ class SubalgebraBasis:
 def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     """Smallest subspace containing the seeds and closed under both brackets.
 
-    Iteratively adjoins all pairwise angle and square brackets, keeping a
-    reduced echelon basis (pivot = first nonzero coordinate in basis
-    order) until nothing new appears.  Terminates because the ambient
-    dimension bounds the span.
+    Iteratively adjoins all pairwise angle and square brackets, keeping an
+    echelon basis (pivot = first nonzero coordinate in basis order) until
+    nothing new appears.  Terminates because the ambient dimension bounds
+    the span.  Each round brackets the span's integer echelon rows, in
+    pivot order, through ``Z2Algebra._rows``: every row and bracket is a
+    positive multiple of its rational counterpart, so the span grows
+    exactly as it would on ``Element``s.
     """
     seed_vectors = list(seed_vectors)
     if not seed_vectors:
@@ -308,15 +307,14 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     span = FractionSpan()
     for v in seed_vectors:
         span.add(v.terms)
-    subalgebra = SubalgebraBasis(algebra=alg, span=span)
 
     changed = True
     while changed and span.dim < alg.dim:
         changed = False
-        basis = subalgebra.vectors
+        basis = [_row_vector(alg, row) for row in span.integer_rows()]
         for a in basis:
             for b in basis:
                 for new in (angle(a, b), square(a, b)):
-                    if new.terms and span.add(new.terms):
+                    if new and span.add(new):
                         changed = True
-    return subalgebra
+    return SubalgebraBasis(algebra=alg, span=span)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .algebra import (
@@ -170,7 +171,10 @@ def cmd_bch(args):
 
 
 def cmd_correspond(args):
-    # only the numeric model needs numpy; the exact commands never load it
+    # only the numeric model needs numpy; the exact commands never load it.
+    # Its matrices are at most MAX_BLOCK_SIZE = 8 square, too small for BLAS
+    # worker threads, which would only spin; a value the user sets wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .blockmodel import (
         BlockShape,
         block_matrix_units,

@@ -149,6 +149,14 @@ class FractionSpan:
         rows = self._rows
         return [divided(rows[p], rows[p][p]) for p in sorted(rows)]
 
+    def integer_rows(self):
+        """Echelon rows in pivot order, primitive integer vectors with a positive pivot.
+
+        They are the span's own dicts: read them, do not mutate them.
+        """
+        rows = self._rows
+        return [rows[p] for p in sorted(rows)]
+
     def _eliminate(self, work, scale):
         """Reduce the integer vector ``work``, standing for ``work / scale``.
 

@@ -266,6 +266,7 @@ _coefficients = st.one_of(
     st.integers(1, 3).flatmap(
         lambda dim: st.tuples(
             st.just(dim),
+            st.lists(st.integers(0, 1), min_size=dim, max_size=dim),
             st.lists(
                 st.tuples(*[st.integers(0, dim - 1)] * 3, _coefficients), max_size=20
             ),
@@ -273,11 +274,12 @@ _coefficients = st.one_of(
     ),
     st.randoms(use_true_random=False),
 )
-def test_triples_canonicalize_and_roundtrip(dim_triples, rnd):
-    # duplicates, explicit zeros and any order all land on one canonical form
-    dim, triples = dim_triples
+def test_triples_canonicalize_and_roundtrip(dim_parity_triples, rnd):
+    # duplicates, explicit zeros and any order all land on one canonical form;
+    # the parities are drawn too, so graded definitions round-trip as well
+    dim, parity, triples = dim_parity_triples
     unit = [1] + [0] * (dim - 1)
-    defn = AlgebraDef("t", dim, [0] * dim, triples, unit)
+    defn = AlgebraDef("t", dim, parity, triples, unit)
     summed = {}
     for i, j, k, c in triples:
         summed[i, j, k] = summed.get((i, j, k), 0) + Fraction(c)
@@ -286,7 +288,7 @@ def test_triples_canonicalize_and_roundtrip(dim_triples, rnd):
     )
     shuffled = list(triples)
     rnd.shuffle(shuffled)
-    assert AlgebraDef("t", dim, [0] * dim, shuffled, unit) == defn
+    assert AlgebraDef("t", dim, parity, shuffled, unit) == defn
     text = defn.to_json()
     back = AlgebraDef.from_json(text)
     assert back == defn

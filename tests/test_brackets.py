@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from z2lie.algebra import AlgebraDef, random_element, validate_z2
+from z2lie.algebra import AlgebraDef, Element, random_element, validate_z2
 from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
 from z2lie.brackets import (
     IDENTITIES,
@@ -17,7 +17,7 @@ from z2lie.brackets import (
     verify_identities,
 )
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
-from z2lie.linalg import divided
+from z2lie.linalg import FractionSpan, divided
 from z2lie.report import VerificationReport, element_witness
 
 ASSOCIATIVE_EIGHT = ("R", "C", "H", "R2", "C2", "C-2", "H2", "H-2")
@@ -271,6 +271,50 @@ def test_generate_subalgebra_closure_and_idempotence():
     again = generate_subalgebra(list(basis.vectors))
     assert again.dim == basis.dim
     assert [v.coeffs for v in again.vectors] == [v.coeffs for v in basis.vectors]
+
+
+def _closure_by_elements(seeds):
+    """Brute-force closure: bracket every pair of a spanning set of Elements
+    until the span stops growing.  Returns the span and the growing rounds."""
+    span, spanning = FractionSpan(), []
+    for v in seeds:
+        if span.add(v.terms):
+            spanning.append(v)
+    rounds = 0
+    while True:
+        brackets = [f(a, b) for a in spanning for b in spanning for f in (angle, square)]
+        grown = [v for v in brackets if span.add(v.terms)]
+        if not grown:
+            return span, rounds
+        spanning += grown
+        rounds += 1
+
+
+@pytest.mark.parametrize(
+    "name, seeds",
+    [
+        (
+            "blockmat(2,1)",
+            [{1: Fraction(-5, 7), 2: Fraction(2, 3)}, {0: Fraction(2, 7), 1: Fraction(-5, 2)}],
+        ),
+        (
+            "O2",
+            [{12: Fraction(3, 2), 15: Fraction(-2, 7)}, {6: Fraction(-2, 7), 15: Fraction(-2, 3)}],
+        ),
+    ],
+    ids=["blockmat(2,1)", "O2"],
+)
+def test_generate_subalgebra_matches_element_closure(name, seeds):
+    # the closure brackets integer echelon rows; the reference brackets
+    # Fraction Elements, and both need more than one round here
+    alg = block_matrix_algebra(2, 1) if name == "blockmat(2,1)" else catalog_algebra(name)
+    seeds = [Element._from_terms(alg, terms) for terms in seeds]
+    expected, rounds = _closure_by_elements(seeds)
+    assert rounds > 1 and expected.dim < alg.dim
+    basis = generate_subalgebra(seeds)
+    assert basis.dim == expected.dim
+    assert all(basis.contains(Element._from_terms(alg, row)) for row in expected.rows())
+    assert all(expected.contains(v.terms) for v in basis.vectors)
 
 
 def test_generate_subalgebra_requires_seeds():

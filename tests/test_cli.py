@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import z2lie
-from z2lie.algebra import AlgebraDef, save_algebra, validate_z2
+from z2lie.algebra import load_algebra, save_algebra, validate_z2
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
 from z2lie.cli import main
 
@@ -26,12 +26,15 @@ def run(tmp_path, *argv):
 
 
 def test_catalog_emits_loadable_definition(tmp_path):
-    for name in ("R", "C-2", "O2"):
+    # every name goes out through `catalog -o`, back in through load_algebra,
+    # and out again to the same bytes
+    for name in CATALOG_NAMES:
         code, text = run(tmp_path, "catalog", name)
         assert code == 0
-        defn = AlgebraDef.from_json(text)
-        assert validate_z2(defn).dim == catalog_algebra(name).dim
+        defn = load_algebra(tmp_path / "out.json")
         assert defn == catalog_algebra(name).defn
+        assert defn.to_json() == text
+        assert validate_z2(defn)._rows == catalog_algebra(name)._rows
 
 
 def test_catalog_bad_name(tmp_path):
@@ -574,6 +577,58 @@ def test_exact_commands_do_not_import_numpy():
     assert codes == [0, 0, 0, 0]
     assert not exact_loaded
     assert correspond == 0 and correspond_loaded
+
+
+_BLAS_THREADS_CHILD = """
+import contextlib, io, json, os
+from z2lie.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["correspond", "--shape", "1,1", "--trials", "4"])
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def _child_env(blas_threads):
+    """This environment with the package on the path and OpenBLAS's thread
+    count unset, or set to ``blas_threads``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(z2lie.__file__).parent.parent)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_correspond_defaults_blas_to_one_thread(preset):
+    # the child's environment is built here: an in-process `correspond`
+    # sets the variable in this process too
+    child = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_CHILD],
+        env=_child_env(preset), capture_output=True, text=True, timeout=300, check=True,
+    )
+    code, seen, threads = json.loads(child.stdout)
+    assert code == 0
+    if preset is None:
+        assert seen == "1"
+        # numpy is loaded by now, and OpenBLAS started no worker thread
+        assert threads in (None, 1)
+    else:
+        assert seen == preset
+
+
+def test_correspond_report_does_not_depend_on_blas_threads():
+    argv = ["correspond", "--shape", "4,4", "--trials", "240", "--seed", "3"]
+    reports = [
+        subprocess.run(
+            [sys.executable, "-m", "z2lie.cli", *argv],
+            env=_child_env(n), capture_output=True, timeout=300, check=True,
+        ).stdout
+        for n in ("1", "2")
+    ]
+    assert reports[0] == reports[1] and json.loads(reports[0])["passed"]
 
 
 def test_cli_determinism_small(tmp_path):
