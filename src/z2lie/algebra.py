@@ -175,11 +175,6 @@ def load_algebra(path):
         raise AlgebraFormatError(f"not UTF-8 text: {exc}") from exc
 
 
-def save_algebra(defn, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(defn.to_json())
-
-
 class Z2Algebra:
     """Validated algebra handle with cached sparse multiplication rows.
 

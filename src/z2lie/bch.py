@@ -9,11 +9,11 @@ Words with no odd letter are even, words with exactly one are odd.
 
 A :class:`Series` is a finite rational linear combination of such words up
 to a fixed truncation degree (an int-or-``Fraction`` :class:`linalg.ExactVector`,
-like an algebra ``Element``), with formal exp, log and geometric inverse.
-Its words are keyed by int codes (a leading 1, then 3 bits per letter),
-and a product runs on both factors cleared of denominators and grouped by
-word length and parity, a form each Series computes once.
-The central computation is
+like an algebra ``Element``), with formal exp, log and geometric inverse,
+summed by Horner's rule.  Its words are keyed by int codes (a leading 1,
+then 3 bits per letter), and a product runs on both factors cleared of
+denominators and grouped by word length and parity, a form each Series
+computes once.  The central computation is
 
     z = log( E0(u) * exp(x) * E0(u)^-1 * E0(w) * exp(y) * E0(w)^-1 )
 
@@ -23,7 +23,11 @@ also evaluates angle/square bracket expressions (one evaluator for word
 series and block matrices alike), re-fits the computed series onto
 bracket monomials (Lyndon words over angle-wrapped letters), and diffs
 it against a hard-coded reference listing of the printed low-degree
-terms, reporting rather than repairing any mismatch.
+terms, reporting rather than repairing any mismatch.  The fit is solved
+on the even words and checked on every word through the lift x0 -> x0 +
+x1, y0 -> y0 + y1: so it also confirms that the odd words of z are the
+first-order lift of its even words, and that no u1 or w1 occurs, since
+E0(u) = exp(u0).
 """
 
 from __future__ import annotations
@@ -271,10 +275,6 @@ class Series(ExactVector):
 
     # -- grading -------------------------------------------------------------
 
-    def degree_component(self, degree):
-        low, high = 1 << 3 * degree, 1 << 3 * (degree + 1)
-        return self._select(lambda code: low <= code < high)
-
     def substitute_zero(self, *symbols):
         """Set whole generators to zero, e.g. substitute_zero("u", "w")."""
         drop = set()
@@ -286,26 +286,28 @@ class Series(ExactVector):
     # -- exp / log / inverse ------------------------------------------------------
 
     def _power_series(self, coeff):
-        """Sum of ``coeff(n) * self**n`` over n, accumulated as ints over one
-        denominator (the powers of ``self`` times its denominator are integral).
+        """Sum of ``coeff(n) * self**n`` over n by Horner's rule,
+        ``c_0 + s(c_1 + s(c_2 + ...))``; ``self`` has zero constant term.
 
-        The powers stay grouped integer polynomials from one product to the
-        next; only the total is turned back into a Series.
+        The n-th inner sum is multiplied by ``s**n``, so it is kept only
+        through degree N - n.  With ``s = base / den`` and L the lcm of the
+        coefficients' denominators, the n-th inner sum times ``L * den**(N-n)``
+        is an integer polynomial, kept grouped from one product to the next;
+        the last one is the total over ``L * den**N``.
         """
         n_max = self.truncation
         coeffs = [Fraction(coeff(n)) for n in range(n_max + 1)]
         base, den = self._operand()
-        total_den = lcm(*[c.denominator for c in coeffs]) * den**n_max
-        total, power = {}, {(0, False): {1: 1}}
-        for n, c in enumerate(coeffs):
-            if n:
-                power = _word_product(power, base, n_max)
-            factor = c.numerator * (total_den // (c.denominator * den**n))
-            if factor:
-                for group in power.values():
-                    for w, v in group.items():
-                        total[w] = total.get(w, 0) + factor * v
-        return Series._from_terms(n_max, divided(total, total_den))
+        assert (0, False) not in base, "the base of a power series has no constant"
+        lead = lcm(*[c.denominator for c in coeffs])
+        inner = {}
+        for n in range(n_max, -1, -1):
+            inner = _word_product(base, inner, n_max - n)
+            if c := coeffs[n]:
+                scale = (lead // c.denominator) * den ** (n_max - n)
+                inner[0, False] = {1: c.numerator * scale}
+        total = {w: v for group in inner.values() for w, v in group.items()}
+        return Series._from_terms(n_max, divided(total, lead * den**n_max))
 
     def exp(self):
         if self.constant:
@@ -346,13 +348,6 @@ def extended_bch(truncation: int) -> Series:
     e0w = w.exp().even_part()
     product = e0u * x.exp() * e0u.inverse() * e0w * y.exp() * e0w.inverse()
     return product.log()
-
-
-def classical_bch(truncation: int) -> Series:
-    """log(exp(x) * exp(y)) in the same engine, for cross-checks."""
-    x = Series.full_generator("x", truncation)
-    y = Series.full_generator("y", truncation)
-    return (x.exp() * y.exp()).log()
 
 
 # -- bracket expressions -------------------------------------------------------
@@ -427,19 +422,49 @@ def bracket_value(term: BracketTerm, values):
 
 
 @lru_cache(maxsize=None)
-def _expansions(truncation):
-    """The memo of :func:`bracket_expand` at one truncation, seeded with x, y, u, w."""
-    return {gen(s): Series.full_generator(s, truncation) for s in SYMBOLS}
+def _expansions(truncation, parities=(0, 1)):
+    """A :func:`bracket_value` memo at one truncation, seeded with x, y, u, w:
+    each the sum of its letters of the given parities (x0 + x1, or x0)."""
+    return {
+        gen(s): Series(truncation, {(2 * i + p,): 1 for p in parities})
+        for i, s in enumerate(SYMBOLS)
+    }
 
 
 def bracket_expand(term: BracketTerm, truncation: int) -> Series:
     """Expand a bracket expression into word coordinates (int coefficients).
 
-    A generator is the sum of its even and odd letters.  Memoised per
-    truncation, as the Lyndon monomials share subterms: the returned
-    Series is shared and must not be mutated.
+    A generator is the sum of its even and odd letters: this is the direct
+    evaluator on all eight letters.  Memoised per truncation, as bracket
+    terms share subterms: the returned Series is shared and must not be
+    mutated.
     """
     return bracket_value(term, _expansions(truncation))
+
+
+def _liftable(term, right=False):
+    """Whether :func:`_lift` of the even expansion of ``term`` is its full one.
+
+    ``angle`` reads only the even part of its right operand, so the lift,
+    an algebra map fixing u0 and w0, is exact when every u/w leaf sits in
+    an angle's right operand (``right``) that holds no x or y.
+    """
+    if term.op == "gen":
+        return (term.name in ("u", "w")) == right
+    inner = right or term.op == "angle"
+    return _liftable(term.left, right) and _liftable(term.right, inner)
+
+
+def _lift(even):
+    """The image of an even word polynomial under x0 -> x0 + x1, y0 -> y0 + y1:
+    each word, and for each of its x0 or y0 slots the word with that slot
+    made odd (words with two odd letters vanish)."""
+    out = dict(even)
+    for code, c in even.items():
+        for slot in range(word_length(code)):
+            if not code >> 3 * slot & 4:
+                out[code | 1 << 3 * slot] = c
+    return out
 
 
 def _fit_degree(terms, components, truncation):
@@ -447,39 +472,46 @@ def _fit_degree(terms, components, truncation):
 
     ``terms`` are bracket expressions of one degree d and ``components``
     the series' terms grouped by :func:`_grouped`.  The system is solved
-    on the even words only (odd letters set to zero), where ``terms`` must
-    keep their full rank, so the solution is the unique one; it is then
-    checked exactly on every word of the degree.  Returns one coefficient
-    per term, or None when the degree-d component lies outside the span
-    of the expanded terms.  Raises LostRank if the even words do not keep
-    the rank: the even solve then decides nothing.
+    on the terms' even expansions (odd letters set to zero, an algebra
+    map), where they must keep their full rank, or LostRank is raised: the
+    solution is then the unique one.  Each term must be :func:`_liftable`
+    (else ValueError), so the :func:`_lift` of the even combination is its
+    full expansion; it is checked exactly on every word of the degree, so
+    the odd words of the component must be the lift of its even words.
+    Returns one coefficient per term, or None when the component lies
+    outside the span of the terms.
     """
     degree = terms[0].degree()
     even = components.get((degree, False), {})
     target = {**even, **components.get((degree, True), {})}
-    columns = [bracket_expand(term, truncation) for term in terms]
+    memo = _expansions(truncation, (0,))  # integral, homogeneous of degree d
+    columns = [bracket_value(term, memo).terms for term in terms]
     span = FractionSpan(track=True)
     for col in columns:
-        # the expansions are integral: their operand form is their terms, grouped
-        span.add(col._operand()[0].get((degree, False), {}))
+        span.add(col)
     if span.dim < len(columns):
         raise LostRank(
             f"the even words keep rank {span.dim} of the {len(columns)} "
             f"bracket terms of degree {degree}"
         )
+    for term in terms:
+        if not _liftable(term):
+            raise ValueError(f"the even expansion of {term} does not lift")
     residual, combo = span.reduce(even)
     if residual:
         return None
     solution = [combo.get(j, Fraction(0)) for j in range(len(columns))]
-    # target - sum(c_j * col_j), cleared of every denominator, must vanish
+    # target = lift(sum(c_j * col_j)), both cleared of every denominator
     den = lcm(*[c.denominator for c in (*target.values(), *solution)])
-    check = {w: c.numerator * (den // c.denominator) for w, c in target.items()}
+    fit = {}
     for c, col in zip(solution, columns):
         if c:
             factor = c.numerator * (den // c.denominator)
-            for w, v in col.terms.items():
-                check[w] = check.get(w, 0) - factor * v
-    return None if any(check.values()) else solution
+            for w, v in col.items():
+                fit[w] = fit.get(w, 0) + factor * v
+    lifted = _lift({w: v for w, v in fit.items() if v})
+    cleared = {w: c.numerator * (den // c.denominator) for w, c in target.items()}
+    return solution if lifted == cleared else None
 
 
 def printed_series_terms():
@@ -637,9 +669,9 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
 # ad_{u0}^k x0 and ad_{w0}^k y0, which freely generate a free Lie
 # subalgebra (Lazard elimination), and the standard bracketings of Lyndon
 # words are a basis of a free Lie algebra (Reutenauer, Free Lie Algebras,
-# 1993, ch. 0.4 and 5).  So the fit solves on the even words, gets the
-# unique solution and checks it exactly on every word; the rank is
-# checked on every call and tested for every degree up to MAX_TRUNCATION.
+# 1993, ch. 0.4 and 5).  So the fit solves on the even expansions, gets
+# the unique solution and checks its lift exactly on every word; the rank
+# is checked on every call and tested for every degree up to MAX_TRUNCATION.
 
 
 # A wrapped letter is the pair (family, wraps): x wrapped by u ``wraps``

@@ -588,11 +588,3 @@ def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
                 raise ValueError(f"entry ({r},{c}) lies in the forbidden block")
             coeffs[index[(r, c)]] = value
     return Element(alg, coeffs)
-
-
-def element_to_matrix(el: Element, shape: BlockShape):
-    units = block_matrix_units(shape.p, shape.q)
-    out = [[Fraction(0)] * shape.n for _ in range(shape.n)]
-    for (r, c), coeff in zip(units, el.coeffs):
-        out[r][c] = coeff
-    return out

@@ -74,10 +74,13 @@ def bilinear(table, u, v):
 
 
 def divided(numerators, den):
-    """The vector ``numerators / den`` as ``Fraction``s, zeros dropped."""
-    if den == 1:
-        return {k: Fraction(v) for k, v in numerators.items() if v}
-    return {k: Fraction(v, den) for k, v in numerators.items() if v}
+    """The vector ``numerators / den`` as ``Fraction``s, zeros dropped.
+
+    Each distinct value is built once and shared by its keys (a long
+    series carries few distinct coefficients); ``Fraction``s are immutable.
+    """
+    shared = {v: Fraction(v, den) for v in set(numerators.values()) if v}
+    return {k: shared[v] for k, v in numerators.items() if v}
 
 
 class ExactVector:

@@ -64,12 +64,6 @@ class VerificationReport:
         self.checks.append(result)
         return result
 
-    def find(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_json_dict(self):
         return {
             "subject": self.subject,

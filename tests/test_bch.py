@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bch_oracle import classical_bch_words, graded_expansion, poly_exp, poly_mul
+from bch_oracle import classical_bch_words, graded_expansion, poly_exp, poly_log, poly_mul
+from support import degree_component
 from z2lie.bch import (
     MAX_TRUNCATION,
     BadConstantTerm,
@@ -16,15 +17,18 @@ from z2lie.bch import (
     TruncationMismatch,
     _decode,
     _encode,
+    _expansions,
     _fit_degree,
     _grouped,
     _is_odd,
+    _lift,
+    _liftable,
     _lyndon_monomials,
     angle_term,
     bracket_basis_fit,
     bracket_expand,
     bracket_string,
-    classical_bch,
+    bracket_value,
     compare_printed_series,
     extended_bch,
     format_bracket_series,
@@ -145,15 +149,15 @@ def test_products_match_the_tuple_word_oracle(n, a, b):
     assert (a * b).word_terms() == expected
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.integers(1, MAX_TRUNCATION),
-    st.dictionaries(
-        st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple),
-        st.fractions(min_value=-3, max_value=3, max_denominator=6),
-        max_size=4,
-    ),
+_NO_CONSTANT = st.dictionaries(
+    st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    max_size=4,
 )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, MAX_TRUNCATION), _NO_CONSTANT)
 def test_exp_log_roundtrip_random(n, terms):
     # exp against the tuple-word oracle, which works in the free algebra:
     # the words with two odd letters span an ideal, so it may drop them last
@@ -161,6 +165,20 @@ def test_exp_log_roundtrip_random(n, terms):
     exp = series.exp()
     assert exp.word_terms() == _quotient(poly_exp(series.word_terms(), n))
     assert exp.log() == series
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TRUNCATION + 1))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(terms=_NO_CONSTANT)
+def test_log_and_inverse_match_the_oracle_at_every_truncation(n, terms):
+    # Horner keeps the n-th inner sum only through degree N - n: one degree
+    # short and the top-degree words of log and inverse go wrong
+    one = Series.one(n)
+    shifted = one + Series(n, terms)
+    assert shifted.log().word_terms() == _quotient(poly_log(shifted.word_terms(), n))
+    doubled = one + shifted
+    assert doubled * doubled.inverse() == one
+    assert doubled.inverse() * doubled == one
 
 
 def test_mul_associative_and_unital():
@@ -249,7 +267,7 @@ def test_extended_bch_degree_two_bracket_form():
 
 def test_extended_bch_degree_three_wrapped_component():
     # the x-u-u multidegree component is (1/2)<<x,u>,u>
-    z3 = extended_bch(3).degree_component(3)
+    z3 = degree_component(extended_bch(3), 3)
     expected = bracket_expand(
         angle_term(angle_term(gen("x"), gen("u")), gen("u")), 3
     ).scale(Fraction(1, 2))
@@ -283,15 +301,22 @@ def test_extended_bch_reduces_to_classical_oracle():
             assert all(l < 4 for l in word)
 
 
+def _classical_bch(truncation):
+    """log(exp(x) * exp(y)) in the same engine."""
+    x = Series.full_generator("x", truncation)
+    y = Series.full_generator("y", truncation)
+    return (x.exp() * y.exp()).log()
+
+
 def test_engine_classical_matches_conjugated_route():
     for n in (3, 5):
-        assert extended_bch(n).substitute_zero("u", "w") == classical_bch(n)
+        assert extended_bch(n).substitute_zero("u", "w") == _classical_bch(n)
 
 
 def test_degree_four_pure_component_is_the_printed_term():
-    z4 = extended_bch(4).substitute_zero("u", "w").degree_component(4)
+    z4 = degree_component(extended_bch(4).substitute_zero("u", "w"), 4)
     term = square_term(gen("y"), square_term(gen("x"), square_term(gen("y"), gen("x"))))
-    assert z4 == bracket_expand(term, 4).scale(Fraction(1, 24)).degree_component(4)
+    assert z4 == degree_component(bracket_expand(term, 4).scale(Fraction(1, 24)), 4)
 
 
 def test_bracket_basis_fit_low_degrees():
@@ -418,3 +443,36 @@ def test_fit_checks_every_word(monkeypatch, odd):
     monkeypatch.setattr(bch_mod, "extended_bch", lambda n: perturbed)
     with pytest.raises(InconsistentSystem, match="degree 7"):
         bracket_basis_fit(7)
+
+
+def _even_expansion(term, truncation):
+    return bracket_value(term, _expansions(truncation, (0,))).terms
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TRUNCATION + 1))
+def test_series_odd_words_are_the_lift_of_its_even_words(n):
+    # E0(u) = exp(u0), so no u1 or w1 occurs, and x1, y1 enter only as
+    # the first-order lift x0 -> x0 + x1, y0 -> y0 + y1 of the even words
+    z = extended_bch(n)
+    assert not any(l in (U1, W1) for word in z.word_terms() for l in word)
+    assert _lift(z.even_part().terms) == z.terms
+
+
+def test_lift_of_even_expansions_is_the_full_expansion():
+    terms = [t for d in range(1, MAX_TRUNCATION + 1) for t in _lyndon_monomials(d)]
+    terms += [t for _, t in printed_series_terms()]
+    for term in terms:
+        n = term.degree()
+        assert _liftable(term), str(term)
+        assert _lift(_even_expansion(term, n)) == bracket_expand(term, n).terms, str(term)
+
+
+def test_lift_refuses_terms_it_does_not_map_onto_their_expansion():
+    x, u = gen("x"), gen("u")
+    for term in (square_term(x, u), angle_term(x, x)):
+        assert not _liftable(term)
+        assert _lift(_even_expansion(term, 2)) != bracket_expand(term, 2).terms
+    # full rank on the even words, but [x,u] has u1 words the lift cannot make
+    target = _grouped(bracket_expand(square_term(x, u), 2).terms)
+    with pytest.raises(ValueError, match=r"\[x,u\] does not lift"):
+        _fit_degree([square_term(x, u)], target, 2)

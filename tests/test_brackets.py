@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from support import find_check
 from z2lie.algebra import AlgebraDef, Element, random_element, validate_z2
 from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
 from z2lie.brackets import (
@@ -102,7 +103,7 @@ def test_identities_on_octonion_type():
             "jacobi": False,
             "antisymmetry": True,
         }
-        failing = report.find("leibniz")
+        failing = find_check(report, "leibniz")
         assert failing.failures, "failures must carry witnesses"
         assert "residual" in failing.failures[0]
 
@@ -201,7 +202,7 @@ def test_bracket_tables_agree_with_elements(name, rescaled_o_minus_2):
 
 def test_random_phase_witnesses_follow_the_basis_ones():
     report = verify_identities(_one_off_algebra(), trials=12, seed=0)
-    leibniz = report.find("leibniz")
+    leibniz = find_check(report, "leibniz")
     assert leibniz.trials == 4**3 + 12
     # two basis triples fail, then at least three of the random ones
     assert leibniz.failure_count >= 5

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import z2lie
-from z2lie.algebra import load_algebra, save_algebra, validate_z2
+from z2lie.algebra import load_algebra, validate_z2
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
 from z2lie.cli import main
 
@@ -703,7 +703,7 @@ def test_fractional_definition_report_matches_golden_digest(tmp_path, rescaled_o
     # the only digest whose residual witnesses are not integers (one reads
     # 8/3): every catalog and block table has common denominator 1
     defn = tmp_path / "rescaled.json"
-    save_algebra(rescaled_o_minus_2, defn)
+    defn.write_text(rescaled_o_minus_2.to_json(), encoding="utf-8")
     out = tmp_path / "report"
     assert main(["verify", str(defn), "--trials", "20", "-o", str(out)]) == 0
     assert (
