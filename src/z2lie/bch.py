@@ -221,9 +221,6 @@ class Series(ExactVector):
     def constant(self):
         return self.terms.get(1, Fraction(0))
 
-    def coefficient(self, word):
-        return self.terms.get(_encode(word), Fraction(0))
-
     def word_terms(self):
         """The terms keyed by tuple words."""
         return {_decode(code): c for code, c in self.terms.items()}

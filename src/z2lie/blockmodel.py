@@ -8,15 +8,16 @@ multiplication alone, which makes this the standard desk-scale model for
 numeric experiments: matrix exp/log, residuals of the combined-exponential
 series, conjugation-closure of sampled groups, and tangent-space recovery.
 
-A :class:`BlockMatElement` takes the operands' protocol of ``Element`` and
-``Series`` (``*``, ``even_part()``, ``odd_part()``), so the brackets of
-:mod:`brackets` apply to it unchanged.  The residuals evaluate the
-bracket fit of the series with :func:`bch.bracket_value`, testing the
-series as a series of brackets.
+A :class:`BlockMatElement`, the operand of ``mat_exp``/``mat_log`` and the
+residuals, takes the protocol of ``Element`` and ``Series`` (``*``,
+``even_part()``, ``odd_part()``), so the brackets apply to it unchanged and
+the residuals evaluate the bracket fit with :func:`bch.bracket_value`.  A
+generator set, a xi-group sample and a tangent basis are each one
+(k, n, n) float stack.
 
 Block structure is preserved exactly, not within tolerance: no operation
-ever writes into the lower-left block, and constructors reject matrices
-with nonzero entries there.
+ever writes into the lower-left block, and constructors reject matrices,
+single or stacked, with nonzero entries there.
 """
 
 from __future__ import annotations
@@ -66,22 +67,30 @@ class BlockShape:
         return self.p + self.q
 
 
+def _block_matrices(shape: BlockShape, mats, ndim):
+    """Read-only float copy of one block matrix (``ndim`` 2) or a stack (3).
+
+    Entries must be finite and the lower-left q x p block exactly zero.
+    """
+    mats = np.array(mats, dtype=float)
+    if mats.ndim != ndim or mats.shape[-2:] != (shape.n, shape.n):
+        raise ValueError(f"matrix must be {shape.n} x {shape.n}")
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
+    if np.any(mats[..., shape.p :, : shape.p] != 0.0):
+        raise ValueError("lower-left block must be exactly zero")
+    mats.flags.writeable = False
+    return mats
+
+
 class BlockMatElement:
     """Double-precision matrix with an exactly zero lower-left block."""
 
     __slots__ = ("shape", "mat")
 
     def __init__(self, shape: BlockShape, mat):
-        mat = np.array(mat, dtype=float)
-        if mat.shape != (shape.n, shape.n):
-            raise ValueError(f"matrix must be {shape.n} x {shape.n}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix entries must be finite")
-        if np.any(mat[shape.p :, : shape.p] != 0.0):
-            raise ValueError("lower-left block must be exactly zero")
         self.shape = shape
-        self.mat = mat
-        self.mat.flags.writeable = False
+        self.mat = _block_matrices(shape, mat, ndim=2)
 
     @classmethod
     def zero(cls, shape):
@@ -112,14 +121,8 @@ class BlockMatElement:
         self._check(other)
         return BlockMatElement(self.shape, self.mat - other.mat)
 
-    def __neg__(self):
-        return BlockMatElement(self.shape, -self.mat)
-
     def scale(self, scalar):
         return BlockMatElement(self.shape, float(scalar) * self.mat)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     def __mul__(self, other):
         self._check(other)
@@ -279,22 +282,31 @@ def random_block(shape, rng, norm=0.1):
 # -- xi-group sampling and tangent recovery -------------------------------------
 
 
+def _require_tolerance(tol):
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError("tolerances must be finite and nonnegative")
+
+
 @dataclass
 class XiGroupSample:
     """Sampled elements of the group generated by exponentials of a basis.
 
-    Every stored element must have an invertible even part and operator
-    norm at most ``SAMPLE_NORM_BOUND``.
+    ``generators`` (k, n, n) and ``mats`` (m >= 1, n, n) are stacks of block
+    matrices of ``shape``, each checked as :class:`BlockMatElement` checks
+    one.  Every sampled matrix must have an invertible even part and
+    operator norm at most ``SAMPLE_NORM_BOUND``.
     """
 
-    generators: list
-    elements: list
+    shape: BlockShape
+    generators: np.ndarray
+    mats: np.ndarray
 
     def __post_init__(self):
-        if not self.elements:
-            return
-        p = self.elements[0].shape.p
-        mats = np.stack([el.mat for el in self.elements])
+        self.generators = _block_matrices(self.shape, self.generators, ndim=3)
+        self.mats = _block_matrices(self.shape, self.mats, ndim=3)
+        if not len(self.mats):
+            raise ValueError("a sample holds at least one element")
+        p, mats = self.shape.p, self.mats
         if np.any(np.linalg.norm(mats, 2, axis=(1, 2)) > SAMPLE_NORM_BOUND):
             raise ValueError("sample element exceeds the norm bound")
         # the diagonal blocks of an element are those of its even part
@@ -303,29 +315,27 @@ class XiGroupSample:
             raise ValueError("sample element has a singular even part")
 
 
-def sample_xi_group(generators, budget, rng):
+def sample_xi_group(shape: BlockShape, generators, budget, rng):
     """Products of small exponentials of the basis plus xi-conjugations.
 
-    Samples stay in the identity component by construction and inside the
-    log domain (norm of element - identity below ``SAMPLE_LOG_MARGIN``).
+    ``generators`` is a (k, n, n) stack.  Samples stay in the identity
+    component by construction and inside the log domain (norm of element -
+    identity below ``SAMPLE_LOG_MARGIN``).  With k = 0 the group is trivial
+    and the sample is the identity alone.
     """
-    if not generators:
-        raise ValueError("no generators; use trivial_sample for the trivial group")
-    shape = generators[0].shape
     p = shape.p
     identity = np.eye(shape.n)
-    # raw matrices, wrapped once at the end; every product keeps the
-    # lower-left block exactly zero
+    # every product keeps the lower-left block exactly zero
     mats = [identity]
     attempts = 0
-    while len(mats) < budget and attempts < 20 * budget:
+    while len(generators) and len(mats) < budget and attempts < 20 * budget:
         attempts += 1
         kind = int(rng.integers(0, 3))
         # fresh exponentials until there are dim(L) of them, so a budget of
         # dim(L) + 1 can span the tangent space
         if kind == 0 or len(mats) <= len(generators):
             coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * SAMPLE_STEP
-            terms = (float(c) * g.mat for c, g in zip(coeffs, generators))
+            terms = (float(c) * g for c, g in zip(coeffs, generators))
             exponent = sum(terms, np.zeros((shape.n, shape.n)))
             candidate = mat_exp(BlockMatElement(shape, exponent)).mat
         else:
@@ -339,52 +349,35 @@ def sample_xi_group(generators, budget, rng):
                 candidate = g0 @ mats[j] @ _even_inverses(g0, p)
         if np.linalg.norm(candidate - identity, 2) < SAMPLE_LOG_MARGIN:
             mats.append(candidate)
-    elements = [BlockMatElement(shape, m) for m in mats]
-    return XiGroupSample(generators=list(generators), elements=elements)
+    return XiGroupSample(shape, generators, np.stack(mats))
 
 
-def trivial_sample(shape):
-    """The sample of the trivial group: just the identity."""
-    return XiGroupSample(generators=[], elements=[BlockMatElement.identity(shape)])
-
-
-def _orthonormal_columns(elements):
-    if not elements:
-        return None
-    a = np.stack([el.mat.reshape(-1) for el in elements], axis=1)
-    q, r = np.linalg.qr(a)
-    keep = np.abs(np.diag(r)) > 1e-12
-    return q[:, keep]
+def _orthonormal_columns(stack):
+    k, n, _ = stack.shape
+    q, r = np.linalg.qr(stack.reshape(k, n * n).T)
+    return q[:, np.abs(np.diag(r)) > 1e-12]
 
 
 def tangent_basis(sample: XiGroupSample, tol=DEFAULT_SPAN_TOL):
-    """Orthonormal basis of the span of the logs of the sampled elements.
+    """Orthonormal basis (a stack) of the span of the logs of the sample.
 
     Singular directions below ``tol`` are treated as numerical noise and
     dropped; the returned matrices have their (noise-level) lower-left
     entries forced back to exact zero.
     """
-    if not sample.elements:
-        return []
-    shape = sample.elements[0].shape
-    logs = log_stack(np.stack([el.mat for el in sample.elements]))
-    rows = logs.reshape(len(logs), -1)
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    basis = []
-    for i, sigma in enumerate(s):
-        if sigma <= tol:
-            continue
-        mat = vt[i].reshape(shape.n, shape.n).copy()
-        noise = np.abs(mat[shape.p :, : shape.p]).max() if shape.q else 0.0
-        if noise > 1e-9:
-            raise AssertionError("tangent vector leaked into the lower-left block")
-        mat[shape.p :, : shape.p] = 0.0
-        basis.append(BlockMatElement(shape, mat))
+    _require_tolerance(tol)
+    n, p = sample.shape.n, sample.shape.p
+    logs = log_stack(sample.mats)
+    _, s, vt = np.linalg.svd(logs.reshape(len(logs), -1), full_matrices=False)
+    basis = vt[s > tol].reshape(-1, n, n)
+    if np.abs(basis[:, p:, :p]).max(initial=0.0) > 1e-9:
+        raise AssertionError("tangent vector leaked into the lower-left block")
+    basis[:, p:, :p] = 0.0
     return basis
 
 
 def principal_angles(basis_a, basis_b):
-    """Principal angles (radians, ascending) between two spans of block elements.
+    """Principal angles (radians, ascending) between the spans of two stacks.
 
     ``arccos`` of a cosine near 1 cannot resolve an angle below about
     sqrt(2 * eps) ~ 2e-8, so angles up to pi/4 are taken by ``arcsin`` of the
@@ -395,7 +388,7 @@ def principal_angles(basis_a, basis_b):
     """
     qa = _orthonormal_columns(basis_a)
     qb = _orthonormal_columns(basis_b)
-    if qa is None or qb is None or qa.shape[1] == 0 or qb.shape[1] == 0:
+    if qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros(0)
     if qa.shape[1] < qb.shape[1]:
         # project the smaller span, so that its every direction has an angle
@@ -417,12 +410,12 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     as "the log lies in the span of the generating basis within tol",
     which is exactly what the tangent correspondence predicts locally.
     """
+    _require_tolerance(tol)
     rng = np.random.default_rng(seed)
     report = VerificationReport(subject="xi-closure")
     check = report.check("xi_conjugate_log_in_span", note=f"tol={tol!r}")
     q = _orthonormal_columns(sample.generators)
-    shape = sample.elements[0].shape
-    mats = np.stack([el.mat for el in sample.elements])
+    shape, mats = sample.shape, sample.mats
     evens = mats.copy()
     evens[:, : shape.p, shape.p :] = 0.0
     # the loop draws nothing else from rng, so every pair can be drawn first
@@ -432,8 +425,7 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     in_domain = np.linalg.norm(conj - np.eye(shape.n), 2, axis=(1, 2)) < 1.0
     skipped = trials - int(in_domain.sum())
     vecs = log_stack(conj[in_domain]).reshape(-1, shape.n * shape.n)
-    if q is not None:
-        vecs = vecs - (vecs @ q) @ q.T
+    vecs = vecs - (vecs @ q) @ q.T
     residuals = np.linalg.norm(vecs, axis=1)
     for pair, residual in zip(pairs[in_domain].tolist(), residuals.tolist()):
         check.record_trial()
@@ -449,7 +441,6 @@ def correspondence_roundtrip(
     shape: BlockShape,
     budget=60,
     tol=1e-6,
-    closure_tol=DEFAULT_SPAN_TOL,
     seed=0,
 ) -> VerificationReport:
     """Round trip: exponentiate a bracket-closed basis, recover its tangent span.
@@ -459,11 +450,10 @@ def correspondence_roundtrip(
     algebra before the numeric experiment runs.  The numeric side samples
     the generated group, takes logs, and asserts that the recovered span
     matches span(L): dimension never exceeds dim(L) and all principal
-    angles stay within ``tol``.  Conjugation closure is checked within
-    ``closure_tol``.
+    angles stay within ``tol``.  The tangent span and conjugation closure
+    are both taken within ``DEFAULT_SPAN_TOL``.
     """
-    if not all(isfinite(t) and t >= 0 for t in (tol, closure_tol)):
-        raise ValueError("tolerances must be finite and nonnegative")
+    _require_tolerance(tol)
     report = VerificationReport(
         subject=f"correspondence:p={shape.p},q={shape.q}"
     )
@@ -483,14 +473,9 @@ def correspondence_roundtrip(
         closure.note = "vacuous: empty basis"
         dim_l = 0
 
-    float_gens = [BlockMatElement(shape, m) for m in exact_generators]
-    if float_gens:
-        rng = np.random.default_rng(seed)
-        sample = sample_xi_group(float_gens, budget, rng)
-    else:
-        sample = trivial_sample(shape)
-
-    basis = tangent_basis(sample, tol=closure_tol)
+    float_gens = np.array(exact_generators or np.zeros((0, shape.n, shape.n)), dtype=float)
+    sample = sample_xi_group(shape, float_gens, budget, np.random.default_rng(seed))
+    basis = tangent_basis(sample)
     dims = report.check("tangent_dim_bounded", note=f"dim(L)={dim_l}")
     dims.record_trial()
     if len(basis) > dim_l:
@@ -499,10 +484,10 @@ def correspondence_roundtrip(
     span = report.check("tangent_span_matches", note=f"tol={tol!r}")
     span.record_trial()
     if dim_l == 0:
-        if basis:
+        if len(basis):
             span.record_failure({"tangent_dim": len(basis)})
     else:
-        angles = principal_angles(basis, float_gens)
+        angles = principal_angles(basis, sample.generators)
         max_angle = float(angles.max()) if angles.size else 0.0
         if len(basis) != dim_l or max_angle > tol:
             span.record_failure(
@@ -511,9 +496,7 @@ def correspondence_roundtrip(
         else:
             span.note += f"; max principal angle {max_angle:.3e}"
 
-    closure_report = xi_closure_check(
-        sample, trials=50, tol=closure_tol, seed=seed + 1
-    )
+    closure_report = xi_closure_check(sample, trials=50, seed=seed + 1)
     report.checks.extend(closure_report.checks)
     return report
 

@@ -101,9 +101,6 @@ class ExactVector:
         self._compatible(other)
         return self._like(vec_add(self.terms, other.terms, -1))
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, scalar):
         """``scalar * self``; an integral scalar acts as an int, keeping int vectors."""
         scalar = exact(scalar)

@@ -175,7 +175,6 @@ def test_criterion_08_correspondence():
                 shape,
                 budget=60,
                 tol=1e-6,
-                closure_tol=1e-8,
                 seed=0,
             )
             assert report.passed, (
@@ -183,6 +182,8 @@ def test_criterion_08_correspondence():
                 label,
                 [c.name for c in report.checks if not c.passed],
             )
+            xi_note = find_check(report, "xi_conjugate_log_in_span").note
+            assert xi_note.split(";")[0] == "tol=1e-08", xi_note
 
 
 @criterion(9, "series evaluation agrees with direct mat_log within 5x the fitted bound")

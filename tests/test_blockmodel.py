@@ -28,7 +28,6 @@ from z2lie.blockmodel import (
     random_block,
     sample_xi_group,
     tangent_basis,
-    trivial_sample,
     unit_matrices,
     xi_closure_check,
 )
@@ -277,77 +276,113 @@ def test_log_vs_exp_residual_consistency():
     assert bch_log_residual(x, y, u, w, 4) <= 5 * bound
 
 
+def _trivial_sample(shape):
+    """The sample of the trivial group, as ``sample_xi_group`` draws it."""
+    rng = np.random.default_rng(0)
+    return sample_xi_group(shape, np.zeros((0, shape.n, shape.n)), budget=10, rng=rng)
+
+
 def test_tangent_basis_identity_only():
-    assert tangent_basis(trivial_sample(SHAPE22)) == []
+    sample = _trivial_sample(SHAPE22)
+    assert np.array_equal(sample.mats, np.eye(4)[np.newaxis])
+    assert tangent_basis(sample).shape == (0, 4, 4)
 
 
 def test_tangent_basis_one_parameter_curve():
     rng = np.random.default_rng(10)
     v = random_block(SHAPE22, rng, norm=1.0)
-    elements = [mat_exp(v.scale(t)) for t in (0.02, 0.05, 0.08, 0.11)]
-    sample = XiGroupSample(generators=[v], elements=elements)
+    mats = np.stack([mat_exp(v.scale(t)).mat for t in (0.02, 0.05, 0.08, 0.11)])
+    sample = XiGroupSample(SHAPE22, v.mat[np.newaxis], mats)
     basis = tangent_basis(sample)
-    assert len(basis) == 1
-    angles = principal_angles(basis, [v])
+    assert basis.shape == (1, 4, 4)
+    angles = principal_angles(basis, sample.generators)
     assert float(angles.max()) <= 1e-8
 
 
-def _unit(*entries):
-    mat = np.zeros((4, 4))
-    for r, c, value in entries:
-        mat[r, c] = value
-    return BlockMatElement(SHAPE22, mat)
+def _units(*entry_lists):
+    """A stack of 4 x 4 matrices, each given by its ``(row, column, value)`` entries."""
+    out = np.zeros((len(entry_lists), 4, 4))
+    for mat, entries in zip(out, entry_lists):
+        for r, c, value in entries:
+            mat[r, c] = value
+    return out
 
 
 def test_principal_angles_constructed():
     # each b_k turns a_k by t_k towards its own orthogonal direction; the
     # small angle is below what arccos of a cosine can resolve
     ts = (1e-10, 0.3, 1.2)
-    a = [_unit((k, k, 1.0)) for k in range(3)]
-    b = [_unit((k, k, np.cos(t)), (k, k + 1, np.sin(t))) for k, t in enumerate(ts)]
+    a = _units(*([(k, k, 1.0)] for k in range(3)))
+    b = _units(*([(k, k, np.cos(t)), (k, k + 1, np.sin(t))] for k, t in enumerate(ts)))
     assert np.allclose(principal_angles(a, b), ts, rtol=1e-3, atol=0)
     # spans of different dimension, either way round
     assert np.allclose(principal_angles(a, b[:2]), ts[:2], rtol=1e-3, atol=0)
     assert np.allclose(principal_angles(b[:2], a), ts[:2], rtol=1e-3, atol=0)
 
 
-def test_xi_group_sample_invariants():
-    singular = BlockMatElement(SHAPE22, np.diag([1.0, 1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        XiGroupSample(generators=[], elements=[singular])
-    huge = BlockMatElement(SHAPE22, 10.0 * np.eye(4))
-    with pytest.raises(ValueError):
-        XiGroupSample(generators=[], elements=[huge])
+def _with_entry(r, c, value):
+    mat = np.eye(4)
+    mat[r, c] = value
+    return mat
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        (_with_entry(0, 3, np.nan), "finite"),
+        (_with_entry(0, 3, np.inf), "finite"),
+        (_with_entry(3, 0, 1e-30), "lower-left"),
+        (10.0 * np.eye(4), "norm bound"),
+        (np.diag([1.0, 1.0, 0.0, 1.0]), "singular even part"),
+    ],
+    ids=["nan", "inf", "lower-left", "norm-bound", "singular-even"],
+)
+def test_xi_group_sample_invariants(mat, message):
+    # the sample stack is checked as a whole, each entry as a BlockMatElement
+    # would check it, and a malformed generator stack is refused the same way
+    with pytest.raises(ValueError, match=message):
+        XiGroupSample(SHAPE22, np.zeros((0, 4, 4)), np.stack([np.eye(4), mat]))
+    if message in ("finite", "lower-left"):
+        with pytest.raises(ValueError, match=message):
+            XiGroupSample(SHAPE22, mat[np.newaxis], np.eye(4)[np.newaxis])
+
+
+def test_xi_group_sample_shapes_checked():
+    with pytest.raises(ValueError, match="4 x 4"):
+        XiGroupSample(SHAPE22, np.zeros((0, 4, 4)), np.eye(4))
+    with pytest.raises(ValueError, match="4 x 4"):
+        XiGroupSample(SHAPE22, np.zeros((0, 2, 2)), np.eye(4)[np.newaxis])
+    with pytest.raises(ValueError, match="at least one"):
+        XiGroupSample(SHAPE22, np.zeros((0, 4, 4)), np.zeros((0, 4, 4)))
+
+
+def _float_units(shape, positions):
+    return np.array(unit_matrices(shape, positions), dtype=float)
 
 
 def test_xi_closure_even_only_generators():
     units = block_matrix_units(1, 1)
     even_units = [rc for rc in units if (rc[0] < 1) == (rc[1] < 1)]
-    gens = [
-        BlockMatElement(SHAPE11, np.array(m, dtype=float))
-        for m in unit_matrices(SHAPE11, even_units)
-    ]
     rng = np.random.default_rng(0)
-    sample = sample_xi_group(gens, budget=30, rng=rng)
+    sample = sample_xi_group(SHAPE11, _float_units(SHAPE11, even_units), budget=30, rng=rng)
     report = xi_closure_check(sample, trials=40, tol=1e-8, seed=1)
     assert report.passed
+
+
+def _off_span_sample():
+    """Random group elements against the even generators: most conjugates leave span(L)."""
+    rng = np.random.default_rng(11)
+    norms = (0.3, 0.5, 0.6, 0.7, 0.8, 0.9)
+    mats = [np.eye(4)] + [mat_exp(random_block(SHAPE22, rng, norm=t)).mat for t in norms]
+    units = block_matrix_units(2, 2)
+    even_units = [rc for rc in units if (rc[0] < 2) == (rc[1] < 2)]
+    return XiGroupSample(SHAPE22, _float_units(SHAPE22, even_units), np.stack(mats))
 
 
 def test_xi_closure_counts_pinned():
     # trial, skip and failure counts and witness pairs of one seed, as the
     # per-pair loop drew and judged them
-    rng = np.random.default_rng(11)
-    norms = (0.3, 0.5, 0.6, 0.7, 0.8, 0.9)
-    elements = [BlockMatElement.identity(SHAPE22)]
-    elements += [mat_exp(random_block(SHAPE22, rng, norm=t)) for t in norms]
-    units = block_matrix_units(2, 2)
-    even_units = [rc for rc in units if (rc[0] < 2) == (rc[1] < 2)]
-    gens = [
-        BlockMatElement(SHAPE22, np.array(m, dtype=float))
-        for m in unit_matrices(SHAPE22, even_units)
-    ]
-    sample = XiGroupSample(generators=gens, elements=elements)
-    check = xi_closure_check(sample, trials=60, tol=1e-8, seed=5).checks[0]
+    check = xi_closure_check(_off_span_sample(), trials=60, tol=1e-8, seed=5).checks[0]
     assert check.trials == 56
     assert check.note.endswith("skipped 4 out-of-domain conjugates")
     assert check.failure_count == 47
@@ -355,7 +390,7 @@ def test_xi_closure_counts_pinned():
 
 
 def test_xi_closure_identity_conjugation():
-    sample = trivial_sample(SHAPE11)
+    sample = _trivial_sample(SHAPE11)
     report = xi_closure_check(sample, trials=5, tol=1e-12, seed=0)
     assert report.passed
     assert xi_closure_check(sample, trials=0).checks[0].trials == 0
@@ -367,13 +402,27 @@ def test_correspondence_trivial_group():
     assert find_check(report, "tangent_span_matches").passed
 
 
-@pytest.mark.parametrize(
-    "tols", [{"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}, {"closure_tol": np.nan}]
-)
+@pytest.mark.parametrize("tols", [{"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}])
 def test_correspondence_rejects_bad_tolerances(tols):
     mats = unit_matrices(SHAPE11, [(0, 0)])
     with pytest.raises(ValueError, match="tolerances"):
         correspondence_roundtrip(mats, SHAPE11, budget=10, seed=0, **tols)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+def test_span_tolerances_must_be_finite_and_nonnegative(tol):
+    # three commuting diagonal generators: the logs have rank 3, so a basis
+    # that kept the zero singular directions would have more members
+    gens = _float_units(SHAPE22, [(0, 0), (1, 1), (2, 2)])
+    rank3 = sample_xi_group(SHAPE22, gens, budget=12, rng=np.random.default_rng(0))
+    assert len(tangent_basis(rank3)) == 3
+    with pytest.raises(ValueError, match="tolerances"):
+        tangent_basis(rank3, tol=tol)
+    # the conjugates of this sample fail the closure gate at 1e-8
+    off_span = _off_span_sample()
+    assert not xi_closure_check(off_span, trials=20, tol=1e-8).passed
+    with pytest.raises(ValueError, match="tolerances"):
+        xi_closure_check(off_span, trials=20, tol=tol)
 
 
 def test_correspondence_single_even_generator():
