@@ -13,7 +13,8 @@ residuals, takes the protocol of ``Element`` and ``Series`` (``*``,
 ``even_part()``, ``odd_part()``), so the brackets apply to it unchanged and
 the residuals evaluate the bracket fit with :func:`bch.bracket_value`.  A
 generator set, a xi-group sample and a tangent basis are each one
-(k, n, n) float stack.
+(k, n, n) float stack; the sample is drawn in rounds, each one stacked
+matmul or :func:`exp_stack` call per kind of candidate.
 
 Block structure is preserved exactly, not within tolerance: no operation
 ever writes into the lower-left block, and constructors reject matrices,
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isfinite, log2
+from math import isfinite
 
 import numpy as np
 
@@ -152,27 +153,48 @@ def _even_inverses(evens, p):
     return out
 
 
-def mat_exp(a: BlockMatElement) -> BlockMatElement:
-    """Matrix exponential by scaling and squaring with a series kernel.
+def exp_stack(xs):
+    """Matrix exponentials of a stack ``xs`` (m, n, n) by scaling and squaring.
 
-    The series stops at the first term whose Frobenius norm is below
-    ``EXP_SERIES_TOL``.  The Frobenius norm bounds the operator norm from
-    above, so this stop is at least as strict as one on the operator norm,
-    and it costs O(n^2) where the operator norm costs an SVD.
+    Each member is scaled by 2^-s, with s the least count that brings its
+    operator norm to at most 1/2 (one batched SVD for the stack), summed by
+    its Taylor series and squared s times (Higham, SIAM J. Matrix Anal.
+    Appl. 26 (2005)).  Each member's series stops at the first term whose
+    Frobenius norm is below ``EXP_SERIES_TOL``, and its sum is frozen there,
+    so a member gets exactly the terms it would get alone.  The Frobenius
+    norm bounds the operator norm from above, so this stop is at least as
+    strict as one on the operator norm, and it costs O(n^2) where the
+    operator norm costs an SVD.  Powers of block upper-triangular matrices
+    keep an exactly zero lower-left block, and so do the exponentials.
     """
-    norm = a.opnorm()
-    squarings = max(0, int(ceil(log2(norm / 0.5))) if norm > 0.5 else 0)
-    t = a.mat / (2.0 ** squarings)
-    acc = np.eye(a.shape.n)
-    term = np.eye(a.shape.n)
+    norms = np.linalg.norm(xs, 2, axis=(1, 2))
+    squarings = np.zeros(len(xs), dtype=int)
+    big = norms > 0.5
+    squarings[big] = np.ceil(np.log2(norms[big] / 0.5))
+    t = np.ldexp(xs, -squarings[:, np.newaxis, np.newaxis])
+    out = np.empty_like(t)
+    live = np.arange(len(t))
+    acc = np.broadcast_to(np.eye(xs.shape[-1]), t.shape).copy()
+    term = acc.copy()
     for k in range(1, 80):
         term = term @ t / k
-        acc = acc + term
-        if np.linalg.norm(term) < EXP_SERIES_TOL:
+        acc += term
+        done = np.linalg.norm(term, axis=(1, 2)) < EXP_SERIES_TOL
+        if done.any():
+            out[live[done]] = acc[done]
+            live, t, acc, term = (x[~done] for x in (live, t, acc, term))
+        if not live.size:
             break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return BlockMatElement(a.shape, acc)
+    out[live] = acc
+    for r in range(squarings.max(initial=0)):
+        squared = squarings > r
+        out[squared] = out[squared] @ out[squared]
+    return out
+
+
+def mat_exp(a: BlockMatElement) -> BlockMatElement:
+    """Matrix exponential: :func:`exp_stack` on a stack of one."""
+    return BlockMatElement(a.shape, exp_stack(a.mat[np.newaxis])[0])
 
 
 def log_stack(gs):
@@ -259,10 +281,22 @@ def bch_log_residual(x, y, u, w, degree: int) -> float:
 
 
 def fit_convergence(norms, residuals):
-    """Least-squares exponent and constant of residual ~ const * norm^k."""
-    logs = np.log(np.asarray(norms, dtype=float))
-    vals = np.maximum(np.asarray(residuals, dtype=float), 1e-300)
-    slope, intercept = np.polyfit(logs, np.log(vals), 1)
+    """Least-squares exponent and constant of residual ~ const * norm^k.
+
+    Norms must be finite and positive, with at least two distinct ones;
+    residuals finite and nonnegative.  A zero residual is clipped to 1e-300
+    so that its log is finite.
+    """
+    norms = np.asarray(norms, dtype=float)
+    residuals = np.asarray(residuals, dtype=float)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ValueError("norms must be finite and positive")
+    if not np.all(np.isfinite(residuals) & (residuals >= 0)):
+        raise ValueError("residuals must be finite and nonnegative")
+    if len(np.unique(norms)) < 2:
+        raise ValueError("a fit needs at least two distinct norms")
+    vals = np.maximum(residuals, 1e-300)
+    slope, intercept = np.polyfit(np.log(norms), np.log(vals), 1)
     return float(slope), float(np.exp(intercept))
 
 
@@ -271,6 +305,8 @@ def fit_convergence(norms, residuals):
 
 def random_block(shape, rng, norm=0.1):
     """Random block element scaled to the requested operator norm."""
+    if not (isfinite(norm) and norm >= 0):
+        raise ValueError("norm must be finite and nonnegative")
     mat = rng.uniform(-1.0, 1.0, size=(shape.n, shape.n))
     mat[shape.p :, : shape.p] = 0.0
     current = np.linalg.norm(mat, 2)
@@ -318,38 +354,57 @@ class XiGroupSample:
 def sample_xi_group(shape: BlockShape, generators, budget, rng):
     """Products of small exponentials of the basis plus xi-conjugations.
 
-    ``generators`` is a (k, n, n) stack.  Samples stay in the identity
-    component by construction and inside the log domain (norm of element -
-    identity below ``SAMPLE_LOG_MARGIN``).  With k = 0 the group is trivial
-    and the sample is the identity alone.
+    ``generators`` is a (k, n, n) stack.  The sample starts at the identity
+    and draws at most ``20 * budget`` attempts, in rounds.  The first rounds
+    draw only fresh exponentials of random combinations of the generators,
+    until there are k of them, so a budget of dim(L) + 1 can span the
+    tangent space.  Each later round draws every missing attempt at once:
+    a fresh exponential, a product of two, or a xi-conjugate of one by the
+    even part of another, both taken from earlier rounds.  A candidate is
+    kept, in attempt order, when the norm of candidate - identity is below
+    ``SAMPLE_LOG_MARGIN``, so samples stay in the identity component and
+    inside the log domain.  With k = 0 the group is trivial and the sample
+    is the identity alone.
     """
-    p = shape.p
-    identity = np.eye(shape.n)
+    generators = np.asarray(generators, dtype=float)
+    p, n, k = shape.p, shape.n, len(generators)
+    identity = np.eye(n)
+    flat = generators.reshape(k, n * n)
     # every product keeps the lower-left block exactly zero
-    mats = [identity]
-    attempts = 0
-    while len(generators) and len(mats) < budget and attempts < 20 * budget:
-        attempts += 1
-        kind = int(rng.integers(0, 3))
-        # fresh exponentials until there are dim(L) of them, so a budget of
-        # dim(L) + 1 can span the tangent space
-        if kind == 0 or len(mats) <= len(generators):
-            coeffs = rng.uniform(-1.0, 1.0, size=len(generators)) * SAMPLE_STEP
-            terms = (float(c) * g for c, g in zip(coeffs, generators))
-            exponent = sum(terms, np.zeros((shape.n, shape.n)))
-            candidate = mat_exp(BlockMatElement(shape, exponent)).mat
-        else:
-            i = int(rng.integers(0, len(mats)))
-            j = int(rng.integers(0, len(mats)))
-            if kind == 1:
-                candidate = mats[i] @ mats[j]
-            else:
-                g0 = mats[i].copy()
-                g0[:p, p:] = 0.0
-                candidate = g0 @ mats[j] @ _even_inverses(g0, p)
-        if np.linalg.norm(candidate - identity, 2) < SAMPLE_LOG_MARGIN:
-            mats.append(candidate)
-    return XiGroupSample(shape, generators, np.stack(mats))
+    mats = identity[np.newaxis]
+    attempts, cap = 0, 20 * budget
+
+    def fresh(count):
+        coeffs = rng.uniform(-1.0, 1.0, size=(count, k)) * SAMPLE_STEP
+        return exp_stack((coeffs @ flat).reshape(count, n, n))
+
+    def draw(target, candidates_of):
+        # rounds of the missing attempts until ``target`` are kept or the cap is hit
+        nonlocal mats, attempts
+        while len(mats) < target and attempts < cap:
+            count = min(target - len(mats), cap - attempts)
+            attempts += count
+            candidates = candidates_of(count)
+            near = np.linalg.norm(candidates - identity, 2, axis=(1, 2)) < SAMPLE_LOG_MARGIN
+            mats = np.concatenate([mats, candidates[near]])
+
+    def mixed(count):
+        kinds = rng.integers(0, 3, size=count)
+        i, j = rng.integers(0, len(mats), size=(2, count))
+        out = np.empty((count, n, n))
+        out[kinds == 0] = fresh(int(np.count_nonzero(kinds == 0)))
+        product = kinds == 1
+        out[product] = mats[i[product]] @ mats[j[product]]
+        conjugate = kinds == 2
+        evens = mats[i[conjugate]].copy()
+        evens[:, :p, p:] = 0.0
+        out[conjugate] = evens @ mats[j[conjugate]] @ _even_inverses(evens, p)
+        return out
+
+    if k:
+        draw(min(budget, k + 1), fresh)
+        draw(budget, mixed)
+    return XiGroupSample(shape, generators, mats)
 
 
 def _orthonormal_columns(stack):
@@ -451,29 +506,33 @@ def correspondence_roundtrip(
     the generated group, takes logs, and asserts that the recovered span
     matches span(L): dimension never exceeds dim(L) and all principal
     angles stay within ``tol``.  The tangent span and conjugation closure
-    are both taken within ``DEFAULT_SPAN_TOL``.
+    are both taken within ``DEFAULT_SPAN_TOL``.  ``budget``, the size of the
+    group sample, must be an int above dim(L): the identity has log 0, so
+    spanning dim(L) tangent directions takes dim(L) + 1 samples.
     """
     _require_tolerance(tol)
+    alg = block_matrix_algebra(shape.p, shape.q)
+    exact_elements = [block_matrix_element(alg, shape, m) for m in exact_generators]
+    dim_l = _exact_rank(exact_elements)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget <= dim_l:
+        raise ValueError(f"budget must be an int greater than dim(L) = {dim_l}")
     report = VerificationReport(
         subject=f"correspondence:p={shape.p},q={shape.q}"
     )
     closure = report.check("bracket_closure_exact")
-    alg = block_matrix_algebra(shape.p, shape.q)
-    exact_elements = [block_matrix_element(alg, shape, m) for m in exact_generators]
     if exact_elements:
         span_dim = generate_subalgebra(exact_elements).dim
-        input_rank = _exact_rank(exact_elements)
         closure.record_trial()
-        if span_dim != input_rank:
-            closure.record_failure(
-                {"input_rank": input_rank, "closure_dim": span_dim}
-            )
-        dim_l = input_rank
+        if span_dim != dim_l:
+            closure.record_failure({"input_rank": dim_l, "closure_dim": span_dim})
     else:
         closure.note = "vacuous: empty basis"
-        dim_l = 0
 
-    float_gens = np.array(exact_generators or np.zeros((0, shape.n, shape.n)), dtype=float)
+    units = block_matrix_units(shape.p, shape.q)
+    float_gens = np.zeros((len(exact_elements), shape.n, shape.n))
+    for mat, el in zip(float_gens, exact_elements):
+        for i, value in el.terms.items():
+            mat[units[i]] = float(value)
     sample = sample_xi_group(shape, float_gens, budget, np.random.default_rng(seed))
     basis = tangent_basis(sample)
     dims = report.check("tangent_dim_bounded", note=f"dim(L)={dim_l}")
@@ -530,13 +589,19 @@ def unit_matrices(shape: BlockShape, positions):
 
 
 @lru_cache(maxsize=None)
+def _unit_index(p, q):
+    """``(row, column)`` to basis index, for the units of ``block_matrix_units``."""
+    return {rc: i for i, rc in enumerate(block_matrix_units(p, q))}
+
+
+@lru_cache(maxsize=None)
 def block_matrix_algebra(p, q) -> Z2Algebra:
     """Exact structure-constant form of the block-triangular matrix algebra.
 
     Validated once per shape; the handle is immutable, so it is shared.
     """
     units = block_matrix_units(p, q)
-    index = {rc: i for i, rc in enumerate(units)}
+    index = _unit_index(p, q)
     parity = tuple(0 if (r < p) == (c < p) else 1 for r, c in units)
     triples = []
     for i, (r, c) in enumerate(units):
@@ -559,9 +624,8 @@ def block_matrix_algebra(p, q) -> Z2Algebra:
 
 def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
     """Exact Element from a rational matrix with zero lower-left block."""
-    units = block_matrix_units(shape.p, shape.q)
-    index = {rc: i for i, rc in enumerate(units)}
-    coeffs = [Fraction(0)] * len(units)
+    index = _unit_index(shape.p, shape.q)
+    terms = {}
     for r, row in enumerate(matrix):
         for c, value in enumerate(row):
             value = exact(value)
@@ -569,5 +633,5 @@ def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
                 continue
             if (r, c) not in index:
                 raise ValueError(f"entry ({r},{c}) lies in the forbidden block")
-            coeffs[index[(r, c)]] = value
-    return Element(alg, coeffs)
+            terms[index[(r, c)]] = value
+    return Element._from_terms(alg, terms)

@@ -33,8 +33,8 @@ tables bracket pointwise; a bracket of the head alone is made once per
 head, not once per tuple.  The random phase draws one triple at a time,
 clears it of its denominators and multiplies through ``Z2Algebra._rows``
 itself, so it checks the tables against the multiplication table.
-Subalgebra generation brackets the integer echelon rows of its span the
-same way.
+Subalgebra generation brackets the integer echelon rows of its span
+through the same tables.
 """
 
 from __future__ import annotations
@@ -183,10 +183,12 @@ def _bracket_tables(alg):
     read off ``Z2Algebra._rows`` over its denominator ``den = alg._den``.
     """
     rows, dim = alg._rows, alg.dim
-    square_rows = [
-        [tuple(vec_add(dict(rows[i][j]), dict(rows[j][i]), -1).items()) for j in range(dim)]
-        for i in range(dim)
-    ]
+    # e_i e_j, less e_j e_i where that is nonzero: a sparse table, such as a
+    # block matrix algebra's, has e_j e_i = 0 for most pairs
+    square_rows = [list(row) for row in rows]
+    for i, j in product(range(dim), repeat=2):
+        if rows[j][i]:
+            square_rows[i][j] = tuple(vec_add(dict(rows[i][j]), dict(rows[j][i]), -1).items())
     angle_rows = [[() if alg.parity[j] else row[j] for j in range(dim)] for row in square_rows]
     return _table_bracket(angle_rows), _table_bracket(square_rows), alg._den
 
@@ -293,9 +295,10 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     echelon basis (pivot = first nonzero coordinate in basis order) until
     nothing new appears.  Terminates because the ambient dimension bounds
     the span.  Each round brackets the span's integer echelon rows, in
-    pivot order, through ``Z2Algebra._rows``: every row and bracket is a
-    positive multiple of its rational counterpart, so the span grows
-    exactly as it would on ``Element``s.
+    pivot order, through the verifier's integer bracket tables, one
+    ``bilinear`` per bracket: every row and bracket is a positive multiple
+    of its rational counterpart, so the span grows exactly as it would on
+    ``Element``s.
     """
     seed_vectors = list(seed_vectors)
     if not seed_vectors:
@@ -308,13 +311,15 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     for v in seed_vectors:
         span.add(v.terms)
 
+    table_angle, table_square, _ = _bracket_tables(alg)
     changed = True
     while changed and span.dim < alg.dim:
         changed = False
-        basis = [_row_vector(alg, row) for row in span.integer_rows()]
+        basis = span.integer_rows()
         for a in basis:
             for b in basis:
-                for new in (angle(a, b), square(a, b)):
+                for bracket in (table_angle, table_square):
+                    new = bracket(a, b)
                     if new and span.add(new):
                         changed = True
     return SubalgebraBasis(algebra=alg, span=span)

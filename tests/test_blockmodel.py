@@ -11,6 +11,7 @@ from z2lie.bch import bracket_basis_fit, bracket_value, gen, printed_series_term
 from z2lie.blockmodel import (
     BlockMatElement,
     BlockShape,
+    SAMPLE_LOG_MARGIN,
     LogOutOfDomain,
     XiGroupSample,
     bch_log_residual,
@@ -20,6 +21,7 @@ from z2lie.blockmodel import (
     block_matrix_units,
     correspondence_roundtrip,
     even_inverse,
+    exp_stack,
     fit_convergence,
     log_stack,
     mat_exp,
@@ -98,6 +100,22 @@ def test_exp_log_against_scipy():
         assert np.allclose(log.mat, scipy.linalg.logm(g.mat), rtol=0, atol=1e-10)
         assert np.allclose(mat_exp(log).mat, scipy.linalg.expm(log.mat), rtol=0, atol=1e-10)
         assert np.allclose(mat_exp(log).mat, g.mat, rtol=0, atol=1e-10)
+
+
+def test_exp_stack_members_match_mat_exp_and_scipy():
+    # operator norms needing 0, 0, 1, 2, 3 and 5 squarings; a zero member
+    rng = np.random.default_rng(15)
+    norms = (0.0, 0.3, 0.8, 1.6, 3.5, 9.0)
+    stack = np.stack([random_block(SHAPE22, rng, norm=t).mat for t in norms])
+    exps = exp_stack(stack)
+    assert np.array_equal(exps[0], np.eye(4))
+    for x, e in zip(stack, exps):
+        assert np.all(e[2:, :2] == 0.0)
+        # each member gets exactly the terms and squarings it gets alone
+        assert np.array_equal(e, mat_exp(BlockMatElement(SHAPE22, x)).mat)
+        expected = scipy.linalg.expm(x)
+        assert np.abs(e - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert exp_stack(stack[:0]).shape == (0, 4, 4)
 
 
 def _spectral_stop_log(mat):
@@ -265,6 +283,38 @@ def test_halving_the_norms_scales_the_residual():
             assert smaller <= larger * 1.5 * 2.0 ** -(degree + 1)
 
 
+@pytest.mark.parametrize(
+    "norms, residuals, message",
+    [
+        ([0.2, 0.1], [1e-3, np.inf], "residuals"),
+        ([0.2, 0.1], [1e-3, np.nan], "residuals"),
+        ([0.2, 0.1], [1e-3, -1e-9], "residuals"),
+        ([0.2, np.nan], [1e-3, 1e-4], "norms"),
+        ([0.2, np.inf], [1e-3, 1e-4], "norms"),
+        ([0.2, 0.0], [1e-3, 1e-4], "norms"),
+        ([0.2, -0.1], [1e-3, 1e-4], "norms"),
+        ([0.2, 0.2], [1e-3, 1e-4], "two distinct norms"),
+        ([0.2], [1e-3], "two distinct norms"),
+    ],
+)
+def test_fit_convergence_refuses_bad_input(norms, residuals, message):
+    with pytest.raises(ValueError, match=message):
+        fit_convergence(norms, residuals)
+
+
+def test_fit_convergence_clips_zero_residuals():
+    exponent, const = fit_convergence([0.2, 0.1, 0.05], [0.0, 0.0, 0.0])
+    assert exponent == pytest.approx(0.0, abs=1e-9)
+    assert const == pytest.approx(1e-300, rel=1e-6)
+
+
+@pytest.mark.parametrize("norm", [-1.0, np.nan, np.inf, -np.inf])
+def test_random_block_refuses_bad_norm(norm):
+    with pytest.raises(ValueError, match="norm"):
+        random_block(SHAPE22, np.random.default_rng(0), norm=norm)
+    assert random_block(SHAPE22, np.random.default_rng(0), norm=0.0).opnorm() == 0.0
+
+
 def test_log_vs_exp_residual_consistency():
     norms, residuals = _ladder(4)
     _, const = fit_convergence(norms, residuals)
@@ -360,6 +410,42 @@ def _float_units(shape, positions):
     return np.array(unit_matrices(shape, positions), dtype=float)
 
 
+def _suite(shape, full):
+    units = block_matrix_units(shape.p, shape.q)
+    if not full:
+        units = [rc for rc in units if (rc[0] < shape.p) == (rc[1] < shape.p)]
+    return _float_units(shape, units)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+@pytest.mark.parametrize("shape", [SHAPE11, SHAPE22, BlockShape(3, 2), BlockShape(4, 4)], ids=str)
+def test_sample_xi_group_invariants(shape, full):
+    gens = _suite(shape, full)
+    budget = len(gens) + 1
+    for seed in range(3):
+        sample = sample_xi_group(shape, gens, budget, np.random.default_rng(seed))
+        mats = sample.mats
+        assert np.array_equal(mats[0], np.eye(shape.n))
+        assert len(mats) == budget
+        assert np.all(np.linalg.norm(mats - np.eye(shape.n), 2, axis=(1, 2)) < SAMPLE_LOG_MARGIN)
+        again = sample_xi_group(shape, gens, budget, np.random.default_rng(seed))
+        assert np.array_equal(again.mats, mats)
+        # a budget of dim(L) + 1 spans the tangent space
+        basis = tangent_basis(sample)
+        assert len(basis) == len(gens)
+        assert principal_angles(basis, gens).max() <= 1e-12
+    larger = sample_xi_group(shape, gens, 3 * budget, np.random.default_rng(0))
+    assert len(larger.mats) == 3 * budget
+
+
+def test_sample_xi_group_stops_at_the_attempt_cap():
+    # every exponential of these generators leaves the margin: 20 * budget
+    # attempts are drawn and none is kept
+    gens = 1e3 * _suite(SHAPE11, full=False)
+    sample = sample_xi_group(SHAPE11, gens, 5, np.random.default_rng(0))
+    assert np.array_equal(sample.mats, np.eye(2)[np.newaxis])
+
+
 def test_xi_closure_even_only_generators():
     units = block_matrix_units(1, 1)
     even_units = [rc for rc in units if (rc[0] < 1) == (rc[1] < 1)]
@@ -423,6 +509,15 @@ def test_span_tolerances_must_be_finite_and_nonnegative(tol):
     assert not xi_closure_check(off_span, trials=20, tol=1e-8).passed
     with pytest.raises(ValueError, match="tolerances"):
         xi_closure_check(off_span, trials=20, tol=tol)
+
+
+@pytest.mark.parametrize("budget", [0, 1, -5, 1.5, True, "2"])
+def test_correspondence_refuses_a_budget_at_most_dim_l(budget):
+    # one unit generator: dim(L) = 1, so the budget must be an int above 1
+    mats = unit_matrices(SHAPE11, [(0, 0)])
+    with pytest.raises(ValueError, match="budget must be an int greater than dim"):
+        correspondence_roundtrip(mats, SHAPE11, budget=budget, seed=0)
+    assert correspondence_roundtrip(mats, SHAPE11, budget=2, seed=0).passed
 
 
 def test_correspondence_single_even_generator():

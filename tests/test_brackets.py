@@ -321,3 +321,27 @@ def test_generate_subalgebra_matches_element_closure(name, seeds):
 def test_generate_subalgebra_requires_seeds():
     with pytest.raises(ValueError):
         generate_subalgebra([])
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [block_matrix_algebra(2, 1), block_matrix_algebra(3, 2), catalog_algebra("C-2")],
+    ids=lambda alg: alg.name,
+)
+def test_generate_subalgebra_on_tables_matches_element_closure_at_random(alg):
+    # sparse random seeds with small fractional coefficients: some close to
+    # a proper subalgebra, some to everything
+    rng = random.Random(20)
+    proper = 0
+    for _ in range(12):
+        seeds = []
+        for _ in range(rng.randint(1, 2)):
+            keys = rng.sample(range(alg.dim), rng.randint(1, 2))
+            seeds.append({k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for k in keys})
+        seeds = [Element._from_terms(alg, terms) for terms in seeds]
+        expected, _ = _closure_by_elements(seeds)
+        basis = generate_subalgebra(seeds)
+        assert basis.dim == expected.dim
+        assert all(expected.contains(v.terms) for v in basis.vectors)
+        proper += expected.dim < alg.dim
+    assert proper
