@@ -624,6 +624,9 @@ def block_matrix_algebra(p, q) -> Z2Algebra:
 
 def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
     """Exact Element from a rational matrix with zero lower-left block."""
+    n = shape.n
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix must be {n} x {n} for shape ({shape.p}, {shape.q})")
     index = _unit_index(shape.p, shape.q)
     terms = {}
     for r, row in enumerate(matrix):

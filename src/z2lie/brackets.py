@@ -183,12 +183,10 @@ def _bracket_tables(alg):
     read off ``Z2Algebra._rows`` over its denominator ``den = alg._den``.
     """
     rows, dim = alg._rows, alg.dim
-    # e_i e_j, less e_j e_i where that is nonzero: a sparse table, such as a
-    # block matrix algebra's, has e_j e_i = 0 for most pairs
-    square_rows = [list(row) for row in rows]
-    for i, j in product(range(dim), repeat=2):
-        if rows[j][i]:
-            square_rows[i][j] = tuple(vec_add(dict(rows[i][j]), dict(rows[j][i]), -1).items())
+    square_rows = [
+        [tuple(vec_add(dict(rows[i][j]), dict(rows[j][i]), -1).items()) for j in range(dim)]
+        for i in range(dim)
+    ]
     angle_rows = [[() if alg.parity[j] else row[j] for j in range(dim)] for row in square_rows]
     return _table_bracket(angle_rows), _table_bracket(square_rows), alg._den
 

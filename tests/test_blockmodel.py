@@ -520,6 +520,21 @@ def test_correspondence_refuses_a_budget_at_most_dim_l(budget):
     assert correspondence_roundtrip(mats, SHAPE11, budget=2, seed=0).passed
 
 
+_PADDED_5X5 = [[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(4)]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1]], _PADDED_5X5, [[1, 0, 0, 0], [0, 0], [0] * 4, [0] * 4]],
+    ids=["1x1", "zero-padded-5x5", "ragged"],
+)
+def test_matrix_of_the_wrong_size_is_refused(matrix):
+    with pytest.raises(ValueError, match="matrix must be 4 x 4"):
+        block_matrix_element(block_matrix_algebra(2, 2), SHAPE22, matrix)
+    with pytest.raises(ValueError, match="matrix must be 4 x 4"):
+        correspondence_roundtrip([matrix], SHAPE22, budget=5, seed=0)
+
+
 def test_correspondence_single_even_generator():
     mats = unit_matrices(SHAPE11, [(0, 0)])
     report = correspondence_roundtrip(mats, SHAPE11, budget=30, seed=0)
