@@ -5,16 +5,18 @@ block form an associative algebra; the block-diagonal part is the even
 subspace and the upper-right block the odd one.  Odd * odd lands in the
 lower-left and therefore vanishes, so the grading holds by block
 multiplication alone, which makes this the standard desk-scale model for
-numeric experiments: matrix exp/log, residuals of the combined-exponential
-series, conjugation-closure of sampled groups, and tangent-space recovery.
+numeric experiments.  The one kept here is the correspondence experiment
+of ``correspond``: matrix exp/log, conjugation-closure of sampled groups,
+and tangent-space recovery, against the exact rational shadow.  The
+residual ladder of the extended series on block matrices, which no
+command runs, lives with the tests in ``tests/cbh_ladder.py``.
 
-A :class:`BlockMatElement`, the operand of ``mat_exp``/``mat_log`` and the
-residuals, takes the protocol of ``Element`` and ``Series`` (``*``,
-``even_part()``, ``odd_part()``), so the brackets apply to it unchanged and
-the residuals evaluate the bracket fit with :func:`bch.bracket_value`.  A
-generator set, a xi-group sample and a tangent basis are each one
-(k, n, n) float stack; the sample is drawn in rounds, each one stacked
-matmul or :func:`exp_stack` call per kind of candidate.
+A :class:`BlockMatElement`, the operand of ``mat_exp``/``mat_log``, takes
+the protocol of ``Element`` and ``Series`` (``*``, ``even_part()``,
+``odd_part()``), so the brackets apply to it unchanged.  A generator set,
+a xi-group sample and a tangent basis are each one (k, n, n) float stack;
+the sample is drawn in rounds, each one stacked matmul or
+:func:`exp_stack` call per kind of candidate.
 
 Block structure is preserved exactly, not within tolerance: no operation
 ever writes into the lower-left block, and constructors reject matrices,
@@ -31,7 +33,6 @@ from math import isfinite
 import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, validate_z2
-from .bch import SYMBOLS, bracket_basis_fit, bracket_value, gen
 from .brackets import generate_subalgebra
 from .linalg import FractionSpan, exact
 from .report import VerificationReport
@@ -137,14 +138,6 @@ class BlockMatElement:
         return f"BlockMatElement(p={self.shape.p}, q={self.shape.q})"
 
 
-def even_inverse(el: BlockMatElement) -> BlockMatElement:
-    """Inverse of a purely even element, block by block (structure exact)."""
-    p = el.shape.p
-    if np.any(el.mat[:p, p:] != 0.0):
-        raise ValueError("even_inverse expects a purely even element")
-    return BlockMatElement(el.shape, _even_inverses(el.mat, p))
-
-
 def _even_inverses(evens, p):
     """Blockwise inverses of one even matrix or a stack of them."""
     out = np.zeros_like(evens)
@@ -240,79 +233,6 @@ def mat_log(g: BlockMatElement) -> BlockMatElement:
     kernel tolerance within the term budget).
     """
     return BlockMatElement(g.shape, log_stack(g.mat[np.newaxis])[0])
-
-
-def _group_product(x, y, u, w):
-    e0u, e0w = mat_exp(u).even_part(), mat_exp(w).even_part()
-    return e0u * mat_exp(x) * even_inverse(e0u) * e0w * mat_exp(y) * even_inverse(e0w)
-
-
-def _bracket_series(x, y, u, w, degree):
-    """The degree-``degree`` bracket fit of the series, evaluated at x, y, u, w.
-
-    Each monomial of :func:`bch.bracket_basis_fit` is evaluated by the block
-    brackets themselves, so the result tests the bracket form of the series.
-    """
-    for el in (x, y, u, w):
-        if el.opnorm() > 0.2 + 1e-12:
-            raise ValueError("inputs must have operator norm at most 0.2")
-    values = {gen(s): el for s, el in zip(SYMBOLS, (x, y, u, w))}
-    z = BlockMatElement.zero(x.shape)
-    for term, coeff in bracket_basis_fit(degree):
-        z = z + bracket_value(term, values).scale(coeff)
-    return z
-
-
-def bch_residual(x, y, u, w, degree: int) -> float:
-    """Operator-norm gap between the truncated series and the true product.
-
-    Evaluates the degree-``degree`` bracket series at the given matrices,
-    exponentiates, and measures the distance to
-    E0(exp u) exp(x) E0(exp u)^-1 E0(exp w) exp(y) E0(exp w)^-1.
-    """
-    z = _bracket_series(x, y, u, w, degree)
-    return (_group_product(x, y, u, w) - mat_exp(z)).opnorm()
-
-
-def bch_log_residual(x, y, u, w, degree: int) -> float:
-    """Distance in log coordinates: series value vs direct mat_log of the product."""
-    z = _bracket_series(x, y, u, w, degree)
-    return (z - mat_log(_group_product(x, y, u, w))).opnorm()
-
-
-def fit_convergence(norms, residuals):
-    """Least-squares exponent and constant of residual ~ const * norm^k.
-
-    Norms must be finite and positive, with at least two distinct ones;
-    residuals finite and nonnegative.  A zero residual is clipped to 1e-300
-    so that its log is finite.
-    """
-    norms = np.asarray(norms, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    if not np.all(np.isfinite(norms) & (norms > 0)):
-        raise ValueError("norms must be finite and positive")
-    if not np.all(np.isfinite(residuals) & (residuals >= 0)):
-        raise ValueError("residuals must be finite and nonnegative")
-    if len(np.unique(norms)) < 2:
-        raise ValueError("a fit needs at least two distinct norms")
-    vals = np.maximum(residuals, 1e-300)
-    slope, intercept = np.polyfit(np.log(norms), np.log(vals), 1)
-    return float(slope), float(np.exp(intercept))
-
-
-# -- random sampling -----------------------------------------------------------
-
-
-def random_block(shape, rng, norm=0.1):
-    """Random block element scaled to the requested operator norm."""
-    if not (isfinite(norm) and norm >= 0):
-        raise ValueError("norm must be finite and nonnegative")
-    mat = rng.uniform(-1.0, 1.0, size=(shape.n, shape.n))
-    mat[shape.p :, : shape.p] = 0.0
-    current = np.linalg.norm(mat, 2)
-    if current > 0:
-        mat *= norm / current
-    return BlockMatElement(shape, mat)
 
 
 # -- xi-group sampling and tangent recovery -------------------------------------

@@ -2,16 +2,17 @@
 
 The catalog covers the classical real division algebras R, C, H, the dual
 numbers R2, the graded extensions C2, C-2, H2, H-2, and the two
-16-dimensional octonion-type algebras O2 and O-2.  The octonion-type
-tables are transcribed verbatim below; every other catalog algebra is cut
-out of them as a closed sub-table.  R, C and H are the spans of the first
+16-dimensional octonion-type algebras O2 and O-2.  Their one 8 x 8 table,
+the octonion product of the even units, is transcribed verbatim below; it
+gives the even*even, even*odd and odd*even products alike, the last with
+the twist on the columns e05..e08.  Every other catalog algebra is cut out
+of O2 or O-2 as a closed sub-table.  R, C and H are the spans of the first
 one, two and four even units; the five graded extensions add the matching
 odd copy of an even span, which reproduces the expected twist behaviour:
-with twist -1 the odd
-vectors anti-commute with the imaginary even units, giving the
-conjugation rule v*z = conj(z)*v in the complex case, and at the
-one-even-dimension level the twist cancels entirely, so there is a single
-R2.
+with twist -1 the odd vectors anti-commute with the imaginary even units,
+giving the conjugation rule v*z = conj(z)*v in the complex case, and at
+the one-even-dimension level the twist cancels entirely, so there is a
+single R2.
 
 The norm used throughout is the Euclidean norm of the even component plus
 the Euclidean norm of the odd component.  Its multiplicativity on
@@ -70,13 +71,15 @@ _CUTS = {
 CATALOG_NAMES = tuple(_CUTS)
 
 
-# Multiplication tables for the 16-dimensional octonion-type algebras.
+# Multiplication table of the 16-dimensional octonion-type algebras.
 # Entries are signed basis numbers 1..8; rows are left factors.  The even
 # basis is e_{01}..e_{08} (indices 0..7), the odd basis e_{11}..e_{18}
-# (indices 8..15), and odd*odd vanishes identically.
-
-# even * even -> even
-_EVEN_EVEN = (
+# (indices 8..15), and odd*odd vanishes identically.  The one table gives
+# the other three products: even * even -> even, even * odd -> odd (row
+# e_{0s}, column e_{1t}, entry names e_{1k}) and odd * even -> odd (row
+# e_{1s}, column e_{0t}), whose entries in columns e_{05}..e_{08} carry the
+# twist factor.
+_OCTONION = (
     (1, 2, 3, 4, 5, 6, 7, 8),
     (2, -1, 4, -3, 6, -5, -8, 7),
     (3, -4, -1, 2, 7, 8, -5, -6),
@@ -86,35 +89,6 @@ _EVEN_EVEN = (
     (7, 8, 5, -6, -3, 4, -1, -2),
     (8, -7, 6, 5, -4, -3, 2, -1),
 )
-
-# even * odd -> odd (row e_{0s}, column e_{1t}, entry names e_{1k})
-_EVEN_ODD = (
-    (1, 2, 3, 4, 5, 6, 7, 8),
-    (2, -1, 4, -3, 6, -5, -8, 7),
-    (3, -4, -1, 2, 7, 8, -5, -6),
-    (4, 3, -2, -1, 8, -7, 6, -5),
-    (5, -6, -7, -8, -1, 2, 3, 4),
-    (6, 5, -8, 7, -2, -1, -4, 3),
-    (7, 8, 5, -6, -3, 4, -1, -2),
-    (8, -7, 6, 5, -4, -3, 2, -1),
-)
-
-# odd * even -> odd; the second flag marks entries carrying the twist
-# factor (they sit exactly in columns e_{05}..e_{08})
-_ODD_EVEN = (
-    ((1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (6, 1), (7, 1), (8, 1)),
-    ((2, 0), (-1, 0), (4, 0), (-3, 0), (6, 1), (-5, 1), (-8, 1), (7, 1)),
-    ((3, 0), (-4, 0), (-1, 0), (2, 0), (7, 1), (8, 1), (-5, 1), (-6, 1)),
-    ((4, 0), (3, 0), (-2, 0), (-1, 0), (8, 1), (-7, 1), (6, 1), (-5, 1)),
-    ((5, 0), (-6, 0), (-7, 0), (-8, 0), (-1, 1), (2, 1), (3, 1), (4, 1)),
-    ((6, 0), (5, 0), (-8, 0), (7, 0), (-2, 1), (-1, 1), (-4, 1), (3, 1)),
-    ((7, 0), (8, 0), (5, 0), (-6, 0), (-3, 1), (4, 1), (-1, 1), (-2, 1)),
-    ((8, 0), (-7, 0), (6, 0), (5, 0), (-4, 1), (-3, 1), (2, 1), (-1, 1)),
-)
-
-
-def _signed(entry):
-    return (abs(entry) - 1, 1 if entry > 0 else -1)
 
 
 def octonion_type_def(twist: int) -> AlgebraDef:
@@ -122,19 +96,14 @@ def octonion_type_def(twist: int) -> AlgebraDef:
     if twist not in (1, -1):
         raise IllegalName(f"twist must be +1 or -1, got {twist}")
     triples = []
-    for i, row in enumerate(_EVEN_EVEN):
-        for j, entry in enumerate(row):
-            k, sign = _signed(entry)
-            triples.append((i, j, k, sign))
-    for i, row in enumerate(_EVEN_ODD):
-        for j, entry in enumerate(row):
-            k, sign = _signed(entry)
-            triples.append((i, 8 + j, 8 + k, sign))
-    for i, row in enumerate(_ODD_EVEN):
-        for j, (entry, has_twist) in enumerate(row):
-            k, sign = _signed(entry)
-            coeff = sign * twist if has_twist else sign
-            triples.append((8 + i, j, 8 + k, coeff))
+    # index offsets of the left factor, the right factor and the product
+    for left, right, out in ((0, 0, 0), (0, 8, 8), (8, 0, 8)):
+        for i, row in enumerate(_OCTONION):
+            for j, entry in enumerate(row):
+                sign = 1 if entry > 0 else -1
+                if left and j >= 4:
+                    sign *= twist
+                triples.append((left + i, right + j, out + abs(entry) - 1, sign))
     return AlgebraDef(
         name="O2" if twist == 1 else "O-2",
         dim=16,

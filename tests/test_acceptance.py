@@ -11,12 +11,10 @@ than being weakened to match the tables.
 import functools
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from bch_oracle import classical_bch_words, graded_expansion
+from cbh_ladder import bch_log_residual, fit_convergence, ladder, ladder_inputs
 from support import degree_component, find_check
-from z2lie.algebra import is_alternative, is_associative, validate_z2
+from z2lie.algebra import is_alternative, is_associative
 from z2lie.bch import (
     bracket_expand,
     compare_printed_series,
@@ -25,14 +23,9 @@ from z2lie.bch import (
     square_term,
 )
 from z2lie.blockmodel import (
-    BlockMatElement,
     BlockShape,
-    bch_log_residual,
-    bch_residual,
     block_matrix_units,
     correspondence_roundtrip,
-    fit_convergence,
-    random_block,
     unit_matrices,
 )
 from z2lie.brackets import verify_identities
@@ -46,7 +39,6 @@ from z2lie.catalog import (
 from z2lie.cli import main as cli_main
 
 ASSOCIATIVE_EIGHT = ("R", "C", "H", "R2", "C2", "C-2", "H2", "H-2")
-SHAPE22 = BlockShape(2, 2)
 
 
 def criterion(number, description):
@@ -140,22 +132,10 @@ def test_criterion_06_printed_series():
         assert dup[form]["computed_coefficient"] == "1/12"
 
 
-@functools.lru_cache(maxsize=None)
-def _ladder(degree):
-    rng = np.random.default_rng(7)
-    base = [random_block(SHAPE22, rng, norm=1.0) for _ in range(4)]
-    norms = (0.2, 0.1, 0.05, 0.025)
-    residuals = []
-    for t in norms:
-        x, y, u, w = (b.scale(t / b.opnorm()) for b in base)
-        residuals.append(bch_residual(x, y, u, w, degree))
-    return norms, tuple(residuals)
-
-
 @criterion(7, "numeric convergence exponent >= N + 0.5 for N in 1..4 on the norm ladder")
 def test_criterion_07_convergence_order():
     for degree in (1, 2, 3, 4):
-        norms, residuals = _ladder(degree)
+        norms, residuals = ladder(degree)
         exponent, _ = fit_convergence(norms, residuals)
         assert exponent >= degree + 0.5, (degree, exponent, residuals)
 
@@ -188,13 +168,10 @@ def test_criterion_08_correspondence():
 
 @criterion(9, "series evaluation agrees with direct mat_log within 5x the fitted bound")
 def test_criterion_09_formal_numeric_consistency():
-    norms, residuals = _ladder(4)
+    norms, residuals = ladder(4)
     exponent, const = fit_convergence(norms, residuals)
     bound = const * 0.1 ** exponent
-    rng = np.random.default_rng(7)
-    base = [random_block(SHAPE22, rng, norm=1.0) for _ in range(4)]
-    x, y, u, w = (b.scale(0.1 / b.opnorm()) for b in base)
-    gap = bch_log_residual(x, y, u, w, 4)
+    gap = bch_log_residual(*ladder_inputs(0.1), 4)
     assert gap <= 5 * bound, (gap, bound)
 
 

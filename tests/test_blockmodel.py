@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import z2lie.blockmodel as blockmodel
+import cbh_ladder
+from cbh_ladder import (
+    bch_log_residual,
+    bch_residual,
+    even_inverse,
+    fit_convergence,
+    ladder,
+    ladder_inputs,
+    random_block,
+)
 from support import find_check
 from z2lie.algebra import is_associative
 from z2lie.bch import bracket_basis_fit, bracket_value, gen, printed_series_terms
@@ -14,20 +23,15 @@ from z2lie.blockmodel import (
     SAMPLE_LOG_MARGIN,
     LogOutOfDomain,
     XiGroupSample,
-    bch_log_residual,
-    bch_residual,
     block_matrix_algebra,
     block_matrix_element,
     block_matrix_units,
     correspondence_roundtrip,
-    even_inverse,
     exp_stack,
-    fit_convergence,
     log_stack,
     mat_exp,
     mat_log,
     principal_angles,
-    random_block,
     sample_xi_group,
     tangent_basis,
     unit_matrices,
@@ -237,20 +241,9 @@ def test_bch_residual_norm_precondition():
             residual(big, zero, zero, zero, 2)
 
 
-def _ladder(degree, seed=7):
-    rng = np.random.default_rng(seed)
-    base = [random_block(SHAPE22, rng, norm=1.0) for _ in range(4)]
-    norms = [0.2, 0.1, 0.05, 0.025]
-    residuals = []
-    for t in norms:
-        x, y, u, w = (b.scale(t / b.opnorm()) for b in base)
-        residuals.append(bch_residual(x, y, u, w, degree))
-    return norms, residuals
-
-
 def test_convergence_order():
     for degree in (1, 2, 3, 4):
-        norms, residuals = _ladder(degree)
+        norms, residuals = ladder(degree)
         exponent, _ = fit_convergence(norms, residuals)
         assert exponent >= degree + 0.5, (degree, exponent)
 
@@ -258,8 +251,8 @@ def test_convergence_order():
 def test_printed_listing_fails_the_order_check(monkeypatch):
     # the printed degree-3 terms doubled: the residual falls like t^3.2, not t^4
     listing = [(term, c) for c, term in printed_series_terms() if term.degree() <= 3]
-    monkeypatch.setattr(blockmodel, "bracket_basis_fit", lambda degree: listing)
-    exponent, _ = fit_convergence(*_ladder(3))
+    monkeypatch.setattr(cbh_ladder, "bracket_basis_fit", lambda degree: listing)
+    exponent, _ = fit_convergence(*ladder(3))
     assert exponent < 3.5, exponent
 
 
@@ -271,14 +264,14 @@ def test_perturbed_fit_fails_the_order_check(monkeypatch):
         if term.degree() not in (2, 3):
             continue
         bumped = fit[:i] + [(term, coeff + Fraction(1, 100))] + fit[i + 1 :]
-        monkeypatch.setattr(blockmodel, "bracket_basis_fit", lambda degree: bumped)
-        exponent, _ = fit_convergence(*_ladder(4))
+        monkeypatch.setattr(cbh_ladder, "bracket_basis_fit", lambda degree: bumped)
+        exponent, _ = fit_convergence(*ladder(4))
         assert exponent < 4.5, (str(term), exponent)
 
 
 def test_halving_the_norms_scales_the_residual():
     for degree in (1, 2, 3):
-        norms, residuals = _ladder(degree)
+        norms, residuals = ladder(degree)
         for larger, smaller in zip(residuals, residuals[1:]):
             assert smaller <= larger * 1.5 * 2.0 ** -(degree + 1)
 
@@ -316,14 +309,9 @@ def test_random_block_refuses_bad_norm(norm):
 
 
 def test_log_vs_exp_residual_consistency():
-    norms, residuals = _ladder(4)
-    _, const = fit_convergence(norms, residuals)
-    exponent, _ = fit_convergence(norms, residuals)
+    exponent, const = fit_convergence(*ladder(4))
     bound = const * 0.1 ** exponent
-    rng = np.random.default_rng(7)
-    base = [random_block(SHAPE22, rng, norm=1.0) for _ in range(4)]
-    x, y, u, w = (b.scale(0.1 / b.opnorm()) for b in base)
-    assert bch_log_residual(x, y, u, w, 4) <= 5 * bound
+    assert bch_log_residual(*ladder_inputs(0.1), 4) <= 5 * bound
 
 
 def _trivial_sample(shape):
