@@ -16,7 +16,9 @@ the protocol of ``Element`` and ``Series`` (``*``, ``even_part()``,
 ``odd_part()``), so the brackets apply to it unchanged.  A generator set,
 a xi-group sample and a tangent basis are each one (k, n, n) float stack;
 the sample is drawn in rounds, each one stacked matmul or
-:func:`exp_stack` call per kind of candidate.
+:func:`exp_stack` call per kind of candidate.  Every random draw comes
+from a ``random.Random(seed)`` stream, the generator of the rest of the
+package, so numpy's own random module is never loaded.
 
 Block structure is preserved exactly, not within tolerance: no operation
 ever writes into the lower-left block, and constructors reject matrices,
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
+from random import Random
 
 import numpy as np
 
@@ -243,6 +246,17 @@ def _require_tolerance(tol):
         raise ValueError("tolerances must be finite and nonnegative")
 
 
+def _require_nonnegative_int(name, value):
+    # also guards the seeds: Random(-1) would silently repeat seed 1's stream
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int, not {value!r}")
+
+
+def _randranges(rng, stop, count):
+    """``count`` draws of ``rng.randrange(stop)``, in order, as an index array."""
+    return np.array([rng.randrange(stop) for _ in range(count)], dtype=np.intp)
+
+
 @dataclass
 class XiGroupSample:
     """Sampled elements of the group generated by exponentials of a basis.
@@ -271,21 +285,31 @@ class XiGroupSample:
             raise ValueError("sample element has a singular even part")
 
 
-def sample_xi_group(shape: BlockShape, generators, budget, rng):
+def sample_xi_group(shape: BlockShape, generators, budget, seed):
     """Products of small exponentials of the basis plus xi-conjugations.
 
-    ``generators`` is a (k, n, n) stack.  The sample starts at the identity
-    and draws at most ``20 * budget`` attempts, in rounds.  The first rounds
-    draw only fresh exponentials of random combinations of the generators,
-    until there are k of them, so a budget of dim(L) + 1 can span the
-    tangent space.  Each later round draws every missing attempt at once:
-    a fresh exponential, a product of two, or a xi-conjugate of one by the
-    even part of another, both taken from earlier rounds.  A candidate is
-    kept, in attempt order, when the norm of candidate - identity is below
-    ``SAMPLE_LOG_MARGIN``, so samples stay in the identity component and
-    inside the log domain.  With k = 0 the group is trivial and the sample
-    is the identity alone.
+    ``generators`` is a (k, n, n) stack, and ``seed`` a nonnegative int
+    that seeds one ``random.Random`` stream for every draw.  The sample
+    starts at the identity and draws at most ``20 * budget`` attempts, in
+    rounds.  The first rounds draw only fresh exponentials of random
+    combinations of the generators, until there are k of them, so a budget
+    of dim(L) + 1 can span the tangent space.  Each later round draws
+    every missing attempt at once: a fresh exponential, a product of two,
+    or a xi-conjugate of one by the even part of another, both taken from
+    earlier rounds.  A candidate is kept, in attempt order, when the norm
+    of candidate - identity is below ``SAMPLE_LOG_MARGIN``, so samples stay
+    in the identity component and inside the log domain.  With k = 0 the
+    group is trivial and the sample is the identity alone.
+
+    Draw order: a round of ``count`` fresh exponentials draws ``count * k``
+    values ``u = rng.random()`` in row-major order, each coefficient
+    ``(2u - 1) * SAMPLE_STEP``.  A mixed round draws its ``count`` kinds
+    with ``rng.randrange(3)``, then ``count`` first and ``count`` second
+    indices with ``rng.randrange(len(mats))``, then the coefficients of its
+    fresh members.
     """
+    _require_nonnegative_int("seed", seed)
+    rng = Random(seed)
     generators = np.asarray(generators, dtype=float)
     p, n, k = shape.p, shape.n, len(generators)
     identity = np.eye(n)
@@ -295,7 +319,8 @@ def sample_xi_group(shape: BlockShape, generators, budget, rng):
     attempts, cap = 0, 20 * budget
 
     def fresh(count):
-        coeffs = rng.uniform(-1.0, 1.0, size=(count, k)) * SAMPLE_STEP
+        u = np.array([rng.random() for _ in range(count * k)]).reshape(count, k)
+        coeffs = (2.0 * u - 1.0) * SAMPLE_STEP
         return exp_stack((coeffs @ flat).reshape(count, n, n))
 
     def draw(target, candidates_of):
@@ -309,8 +334,8 @@ def sample_xi_group(shape: BlockShape, generators, budget, rng):
             mats = np.concatenate([mats, candidates[near]])
 
     def mixed(count):
-        kinds = rng.integers(0, 3, size=count)
-        i, j = rng.integers(0, len(mats), size=(2, count))
+        kinds = _randranges(rng, 3, count)
+        i, j = _randranges(rng, len(mats), 2 * count).reshape(2, count)
         out = np.empty((count, n, n))
         out[kinds == 0] = fresh(int(np.count_nonzero(kinds == 0)))
         product = kinds == 1
@@ -384,9 +409,14 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     Membership in the sampled group is operationalized near the identity
     as "the log lies in the span of the generating basis within tol",
     which is exactly what the tangent correspondence predicts locally.
+    ``seed`` is a nonnegative int; the ``trials`` pairs are ``2 * trials``
+    draws of ``randrange(len(sample.mats))`` from ``random.Random(seed)``,
+    in row-major order.
     """
     _require_tolerance(tol)
-    rng = np.random.default_rng(seed)
+    _require_nonnegative_int("seed", seed)
+    _require_nonnegative_int("trials", trials)
+    rng = Random(seed)
     report = VerificationReport(subject="xi-closure")
     check = report.check("xi_conjugate_log_in_span", note=f"tol={tol!r}")
     q = _orthonormal_columns(sample.generators)
@@ -394,7 +424,7 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     evens = mats.copy()
     evens[:, : shape.p, shape.p :] = 0.0
     # the loop draws nothing else from rng, so every pair can be drawn first
-    pairs = rng.integers(0, len(mats), size=(trials, 2))
+    pairs = _randranges(rng, len(mats), 2 * trials).reshape(trials, 2)
     i, j = pairs.T
     conj = evens[i] @ mats[j] @ _even_inverses(evens, shape.p)[i]
     in_domain = np.linalg.norm(conj - np.eye(shape.n), 2, axis=(1, 2)) < 1.0
@@ -428,9 +458,12 @@ def correspondence_roundtrip(
     angles stay within ``tol``.  The tangent span and conjugation closure
     are both taken within ``DEFAULT_SPAN_TOL``.  ``budget``, the size of the
     group sample, must be an int above dim(L): the identity has log 0, so
-    spanning dim(L) tangent directions takes dim(L) + 1 samples.
+    spanning dim(L) tangent directions takes dim(L) + 1 samples.  ``seed``
+    must be a nonnegative int; the sample draws from ``seed`` and the
+    closure check from ``seed + 1``.
     """
     _require_tolerance(tol)
+    _require_nonnegative_int("seed", seed)
     alg = block_matrix_algebra(shape.p, shape.q)
     exact_elements = [block_matrix_element(alg, shape, m) for m in exact_generators]
     dim_l = _exact_rank(exact_elements)
@@ -453,7 +486,7 @@ def correspondence_roundtrip(
     for mat, el in zip(float_gens, exact_elements):
         for i, value in el.terms.items():
             mat[units[i]] = float(value)
-    sample = sample_xi_group(shape, float_gens, budget, np.random.default_rng(seed))
+    sample = sample_xi_group(shape, float_gens, budget, seed)
     basis = tangent_basis(sample)
     dims = report.check("tangent_dim_bounded", note=f"dim(L)={dim_l}")
     dims.record_trial()
