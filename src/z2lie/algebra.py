@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import sqrt
 
@@ -352,16 +353,31 @@ class Element(ExactVector):
         return f"Element({self.algebra.name}, [{body}])"
 
 
-def _basis_associator(rows, i, j, k):
-    """``(e_i e_j) e_k - e_i (e_j e_k)`` in the integer table, over ``den**2``."""
-    left = bilinear(rows, dict(rows[i][j]), {k: 1})
-    return vec_add(left, bilinear(rows, {i: 1}, dict(rows[j][k])), -1)
+@lru_cache(maxsize=1)
+def associator_tensor(alg: Z2Algebra):
+    """Every nonzero basis associator ``(e_i e_j) e_k - e_i (e_j e_k)``.
+
+    ``{(i, j, k): row}`` in product order, each ``row`` an integer vector over
+    ``alg._den ** 2`` read off ``Z2Algebra._rows``.  One ``verify`` run builds
+    it once: the cache keeps the last algebra's.  Read it, do not mutate it.
+    """
+    rows, tensor = alg._rows, {}
+    for i, j, k in product(range(alg.dim), repeat=3):
+        out = {}
+        for m, c in rows[i][j]:
+            for n, d in rows[m][k]:
+                out[n] = out.get(n, 0) + c * d
+        for m, c in rows[j][k]:
+            for n, d in rows[i][m]:
+                out[n] = out.get(n, 0) - c * d
+        if out := {n: c for n, c in out.items() if c}:
+            tensor[i, j, k] = out
+    return tensor
 
 
 def is_associative(alg: Z2Algebra) -> bool:
-    """Brute-force associativity over all dim^3 basis triples (no sampling)."""
-    triples = product(range(alg.dim), repeat=3)
-    return not any(_basis_associator(alg._rows, *ijk) for ijk in triples)
+    """Associativity over all dim^3 basis triples: the associator tensor is empty."""
+    return not associator_tensor(alg)
 
 
 def is_alternative(alg: Z2Algebra) -> bool:
@@ -369,18 +385,16 @@ def is_alternative(alg: Z2Algebra) -> bool:
 
     Each law is quadratic in one argument, so it is checked through its
     bilinear polarization over all basis triples, which is equivalent in
-    characteristic zero and exhaustive at these dimensions.  The associators
-    are integer vectors read off ``Z2Algebra._rows``; a polarized law is
-    symmetric in the two arguments it pairs, so one order of each is checked.
+    characteristic zero: ``(e_i, e_j, e_k) + (e_j, e_i, e_k)`` and ``(e_i,
+    e_j, e_k) + (e_i, e_k, e_j)`` vanish, read off :func:`associator_tensor`
+    (a sum is nonzero only where one of its associators is).
     """
-    rows = alg._rows
-    for i, j, k in product(range(alg.dim), repeat=3):
-        a = _basis_associator(rows, i, j, k)
-        if i <= j and vec_add(a, _basis_associator(rows, j, i, k)):
-            return False
-        if j <= k and vec_add(a, _basis_associator(rows, i, k, j)):
-            return False
-    return True
+    tensor = associator_tensor(alg)
+    return not any(
+        vec_add(row, tensor.get(twin, {}))
+        for (i, j, k), row in tensor.items()
+        for twin in ((j, i, k), (i, k, j))
+    )
 
 
 def part_norms_squared(a: Element):
@@ -399,6 +413,12 @@ def graded_norm(a: Element) -> float:
     """
     even, odd = part_norms_squared(a)
     return sqrt(even) + sqrt(odd)
+
+
+def require_nonnegative_int(name, value):
+    # guards the seeds too: random.Random(-1) would silently repeat seed 1's stream
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative int, not {value!r}")
 
 
 def random_rational(rng):

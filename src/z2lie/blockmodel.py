@@ -35,7 +35,7 @@ from random import Random
 
 import numpy as np
 
-from .algebra import AlgebraDef, Element, Z2Algebra, validate_z2
+from .algebra import AlgebraDef, Element, Z2Algebra, require_nonnegative_int, validate_z2
 from .brackets import generate_subalgebra
 from .linalg import FractionSpan, exact
 from .report import VerificationReport
@@ -246,12 +246,6 @@ def _require_tolerance(tol):
         raise ValueError("tolerances must be finite and nonnegative")
 
 
-def _require_nonnegative_int(name, value):
-    # also guards the seeds: Random(-1) would silently repeat seed 1's stream
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative int, not {value!r}")
-
-
 def _randranges(rng, stop, count):
     """``count`` draws of ``rng.randrange(stop)``, in order, as an index array."""
     return np.array([rng.randrange(stop) for _ in range(count)], dtype=np.intp)
@@ -288,18 +282,18 @@ class XiGroupSample:
 def sample_xi_group(shape: BlockShape, generators, budget, seed):
     """Products of small exponentials of the basis plus xi-conjugations.
 
-    ``generators`` is a (k, n, n) stack, and ``seed`` a nonnegative int
-    that seeds one ``random.Random`` stream for every draw.  The sample
-    starts at the identity and draws at most ``20 * budget`` attempts, in
-    rounds.  The first rounds draw only fresh exponentials of random
-    combinations of the generators, until there are k of them, so a budget
-    of dim(L) + 1 can span the tangent space.  Each later round draws
-    every missing attempt at once: a fresh exponential, a product of two,
-    or a xi-conjugate of one by the even part of another, both taken from
-    earlier rounds.  A candidate is kept, in attempt order, when the norm
-    of candidate - identity is below ``SAMPLE_LOG_MARGIN``, so samples stay
-    in the identity component and inside the log domain.  With k = 0 the
-    group is trivial and the sample is the identity alone.
+    ``generators`` is a (k, n, n) stack, ``budget`` an int above k, and
+    ``seed`` a nonnegative int that seeds one ``random.Random`` stream for
+    every draw.  The sample starts at the identity and draws at most
+    ``20 * budget`` attempts, in rounds.  The first rounds draw only fresh
+    exponentials of random combinations of the generators, until there are k
+    of them, so a budget of dim(L) + 1 can span the tangent space.  Each
+    later round draws every missing attempt at once: a fresh exponential, a
+    product of two, or a xi-conjugate of one by the even part of another,
+    both taken from earlier rounds.  A candidate is kept, in attempt order,
+    when the norm of candidate - identity is below ``SAMPLE_LOG_MARGIN``, so
+    samples stay in the identity component and inside the log domain.  With
+    k = 0 the group is trivial and the sample is the identity alone.
 
     Draw order: a round of ``count`` fresh exponentials draws ``count * k``
     values ``u = rng.random()`` in row-major order, each coefficient
@@ -308,10 +302,12 @@ def sample_xi_group(shape: BlockShape, generators, budget, seed):
     indices with ``rng.randrange(len(mats))``, then the coefficients of its
     fresh members.
     """
-    _require_nonnegative_int("seed", seed)
+    require_nonnegative_int("seed", seed)
     rng = Random(seed)
     generators = np.asarray(generators, dtype=float)
     p, n, k = shape.p, shape.n, len(generators)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget <= k:
+        raise ValueError(f"budget must be an int greater than len(generators) = {k}")
     identity = np.eye(n)
     flat = generators.reshape(k, n * n)
     # every product keeps the lower-left block exactly zero
@@ -414,8 +410,8 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     in row-major order.
     """
     _require_tolerance(tol)
-    _require_nonnegative_int("seed", seed)
-    _require_nonnegative_int("trials", trials)
+    require_nonnegative_int("seed", seed)
+    require_nonnegative_int("trials", trials)
     rng = Random(seed)
     report = VerificationReport(subject="xi-closure")
     check = report.check("xi_conjugate_log_in_span", note=f"tol={tol!r}")
@@ -463,7 +459,7 @@ def correspondence_roundtrip(
     closure check from ``seed + 1``.
     """
     _require_tolerance(tol)
-    _require_nonnegative_int("seed", seed)
+    require_nonnegative_int("seed", seed)
     alg = block_matrix_algebra(shape.p, shape.q)
     exact_elements = [block_matrix_element(alg, shape, m) for m in exact_generators]
     dim_l = _exact_rank(exact_elements)

@@ -18,33 +18,27 @@ and the two brackets are tied together by the four Hu-Liu identities
     square(angle(x,y), z) + square(z, square(x,y))
         + square(z, angle(y,x)) + angle(z, angle(x,y)) = 0.
 
-The verifier below evaluates every identity exhaustively over basis
-arguments and over seeded random exact triples, recording counterexample
-witnesses instead of raising.  Nothing is assumed about associativity; on
-a non-associative algebra the report simply shows which identities fail.
-
-The basis phase reads two integer tables, ``angle(e_i, e_j)`` and
-``square(e_i, e_j)``, read off ``Z2Algebra._rows`` once per call over its
-denominator and kept in the same sparse row format; both brackets are
-bilinear, so the identities are evaluated on integer vectors through them.
-Every identity is linear in its last argument, so it is called once per
-head (the arguments before the last) on a batch of all ``e_l``, which the
-tables bracket pointwise; a bracket of the head alone is made once per
-head, not once per tuple.  The random phase draws one triple at a time,
-clears it of its denominators and multiplies through ``Z2Algebra._rows``
-itself, so it checks the tables against the multiplication table.
-Subalgebra generation brackets the integer echelon rows of its span
-through the same tables.
+The verifier below evaluates every identity exactly, recording
+counterexample witnesses instead of raising.  A residual vanishes when
+the product is associative, so it is a sum of associators ``(a, b, c) =
+(ab)c - a(bc)`` of graded letters, which :func:`associator_terms` derives
+on a free operand: 12 for ``leibniz``, 18 for ``huliu_3``, 24 for
+``jacobi``, none for the other four, which hold in every graded algebra.
+All basis arguments are read off the one integer associator tensor; the
+seeded random triples run through ``angle`` and ``square`` on ``Element``s.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product
 
-from .algebra import Element, Z2Algebra, random_element
-from .linalg import FractionSpan, bilinear, clear_denominators, divided, vec_add
+from .algebra import (
+    Element, Z2Algebra, associator_tensor, random_element, require_nonnegative_int
+)
+from .linalg import ExactVector, FractionSpan, bilinear, divided, vec_add
 from .report import VerificationReport, element_witness
 
 
@@ -97,90 +91,147 @@ def _antisymmetry(angle, square, x, y, _z=None):
     return square(x, y) + square(y, x)
 
 
-# name, residual over a bracket pair, basis argument pattern, bracket depth
+# name, residual over a bracket pair, basis argument pattern
 IDENTITIES = (
-    ("leibniz", _leibniz, "triple", 2),
-    ("huliu_1", _huliu_1, "triple", 2),
-    ("huliu_2", _huliu_2, "polarized_pair", 2),
-    ("huliu_3", _huliu_3, "triple", 2),
-    ("huliu_4", _huliu_4, "triple", 2),
-    ("jacobi", _jacobi, "triple", 2),
-    ("antisymmetry", _antisymmetry, "pair", 1),
+    ("leibniz", _leibniz, "triple"),
+    ("huliu_1", _huliu_1, "triple"),
+    ("huliu_2", _huliu_2, "polarized_pair"),
+    ("huliu_3", _huliu_3, "triple"),
+    ("huliu_4", _huliu_4, "triple"),
+    ("jacobi", _jacobi, "triple"),
+    ("antisymmetry", _antisymmetry, "pair"),
 )
 
-
-class _Batch(dict):
-    """An expression's values at every last argument: ``l`` to its integer vector at ``e_l``.
-
-    Every identity is linear in its last argument, so an index whose value
-    is zero stays zero in every bracket and sum; it is left out.
-    """
-
-    def __add__(self, other):
-        return self._combined(other, 1)
-
-    def __sub__(self, other):
-        return self._combined(other, -1)
-
-    def _combined(self, other, scale):
-        out = _Batch(self)
-        for l, v in other.items():
-            w = vec_add(out.get(l, {}), v, scale)
-            if w:
-                out[l] = w
-            else:
-                del out[l]
-        return out
+# basis letters indexing one basis tuple: a polarized pair (e_i + e_j, e_k) has three
+_LETTERS = {"triple": 3, "polarized_pair": 3, "pair": 2}
 
 
-class _RowVector(dict):
-    """An integer vector of ``algebra``, multiplied through ``Z2Algebra._rows``."""
+@dataclass
+class _FreeOperand(ExactVector):
+    """Int sums of binary trees over graded letters; a product drops two odd leaves."""
 
-    __slots__ = ("algebra",)
+    terms: dict
 
     def _like(self, terms):
-        return _row_vector(self.algebra, terms)
+        return _FreeOperand(terms)
 
-    def __add__(self, other):
-        return self._like(vec_add(self, other))
+    def _compatible(self, other):
+        pass
 
-    def __sub__(self, other):
-        return self._like(vec_add(self, other, -1))
+    @staticmethod
+    def _odd(tree):
+        """A leaf is ``2 * letter + parity``, a product the pair of its factors."""
+        return tree & 1 if type(tree) is int else sum(map(_FreeOperand._odd, tree))
 
     def __mul__(self, other):
-        return self._like(bilinear(self.algebra._rows, self, other))
-
-    def even_part(self):
-        parity = self.algebra.parity
-        return self._like({k: c for k, c in self.items() if not parity[k]})
-
-
-def _row_vector(algebra, terms):
-    """The integer vector ``terms`` of ``algebra``, as a :class:`_RowVector`."""
-    vector = _RowVector(terms)
-    vector.algebra = algebra
-    return vector
+        odd = self._odd
+        return _FreeOperand({
+            (a, b): c * d
+            for a, c in self.terms.items()
+            for b, d in other.terms.items()
+            if not (odd(a) and odd(b))
+        })
 
 
-def _table_bracket(table):
-    """The bracket of ``table`` on integer vectors, pointwise on a :class:`_Batch`."""
+@lru_cache(maxsize=None)
+def associator_terms(identity):
+    """The residual of an ``IDENTITIES`` entry as a sum of graded associators.
 
-    def bracket(u, v):
-        if type(u) is _Batch:
-            return _Batch((l, w) for l, a in u.items() if (w := bilinear(table, a, v)))
-        if type(v) is _Batch:
-            return _Batch((l, w) for l, b in v.items() if (w := bilinear(table, u, b)))
-        return bilinear(table, u, v)
+    Sorted ``(letters, parities, alpha)``, the residual being the sum of
+    ``alpha * (a, b, c)`` over the parts of these parities of the letters at
+    ``letters`` (``x, y, z``; a polarized pair is ``(x + y, z)``).  ``alpha``
+    is the coefficient of ``(ab)c`` in the residual of the free operands
+    ``x0 + x1, y0 + y1, z0 + z1``; raises ValueError unless each ``a(bc)``
+    has ``-alpha`` and no other tree survives.
+    """
+    name, func, pattern = identity
+    x, y, z = (_FreeOperand({2 * n: 1, 2 * n + 1: 1}) for n in range(3))
+    residual = func(angle, square, *((x + y, z) if pattern == "polarized_pair" else (x, y, z)))
+    terms = []
+    for tree, alpha in residual.terms.items():
+        match tree:
+            case ((int(a), int(b)), int(c)) if residual.terms.get((a, (b, c))) == -alpha:
+                terms.append(((a >> 1, b >> 1, c >> 1), (a & 1, b & 1, c & 1), alpha))
+    if 2 * len(terms) != len(residual.terms):
+        raise ValueError(f"the {name} residual is not a combination of associators")
+    return tuple(sorted(terms))
 
-    return bracket
+
+def _basis_failures(alg, identity, tensor):
+    """The failing basis tuples of ``identity`` in product order, with residuals.
+
+    Each nonzero tensor entry ``(p, q, r)`` is scattered through the terms of
+    its parities: their letters take the values ``p, q, r``, and a letter they
+    skip runs over the basis.  Residuals are integer vectors over ``_den**2``.
+    """
+    count, by_parity, residuals = _LETTERS[identity[2]], {}, {}
+    for letters, parities, alpha in associator_terms(identity):
+        # the first slot of each letter (None if it has none), and slots repeating one
+        pick = [letters.index(m) if m in letters else None for m in range(count)]
+        ties = [(s, pick[m]) for s, m in enumerate(letters) if pick[m] != s]
+        by_parity.setdefault(parities, []).append((pick, ties, alpha))
+    if not by_parity:
+        return []
+    for slots, row in tensor.items():
+        for pick, ties, alpha in by_parity.get(tuple(alg.parity[s] for s in slots), ()):
+            if any(slots[s] != slots[t] for s, t in ties):
+                continue  # a letter in two slots takes one value
+            ranges = [range(alg.dim) if p is None else (slots[p],) for p in pick]
+            for basis_tuple in product(*ranges):
+                residual = residuals.setdefault(basis_tuple, {})
+                for n, c in row.items():
+                    residual[n] = residual.get(n, 0) + alpha * c
+    return sorted((t, r) for t, r in residuals.items() if any(r.values()))
+
+
+def _witness(check, args, residual):
+    """The witness of a failure, or None once ``check`` keeps no more."""
+    if check.witness_wanted:
+        return element_witness(*zip("xyz", args), ("residual", residual))
+
+
+def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
+    """Evaluate every bracket identity exactly and report failures.
+
+    Each identity runs over all basis arguments (complete for multilinear
+    identities, and polarization-complete for the quadratic one): dim^3
+    triples or polarized pairs ``(e_i + e_j, e_k)``, or dim^2 pairs, read off
+    :func:`algebra.associator_tensor` by :func:`associator_terms` and recorded
+    in product order.  Then ``trials`` random triples from a nonnegative int
+    ``seed`` run through ``angle`` and ``square`` on ``Element``s.
+    """
+    require_nonnegative_int("seed", seed)
+    report = VerificationReport(subject=f"bracket-identities:{alg.name}")
+    tensor, checks = associator_tensor(alg), []
+    for identity in IDENTITIES:
+        name, func, pattern = identity
+        check = report.check(name)
+        check.trials += alg.dim ** _LETTERS[pattern]
+        for basis_tuple, row in _basis_failures(alg, identity, tensor):
+            args = residual = None
+            if check.witness_wanted:
+                args = [alg.basis(i) for i in basis_tuple]
+                if pattern == "polarized_pair":
+                    args = [args[0] + args[1], args[2]]
+                residual = Element._from_terms(alg, divided(row, alg._den**2))
+            check.record_failure(_witness(check, args, residual))
+        checks.append((check, func))
+    rng = random.Random(seed)
+    for _ in range(trials):
+        sample = tuple(random_element(alg, rng) for _ in range(3))
+        for check, func in checks:
+            check.record_trial()
+            residual = func(angle, square, *sample)
+            if not residual.is_zero():
+                check.record_failure(_witness(check, sample, residual))
+    return report
 
 
 def _bracket_tables(alg):
-    """``(angle, square, den)``: the brackets of integer vectors, times ``den``.
+    """``(angle, square)`` of integer vectors, each one ``bilinear``, times ``alg._den``.
 
-    ``square(e_i, e_j) = e_i e_j - e_j e_i``, and ``angle(e_i, e_j)`` is the
-    same for an even ``e_j`` and zero for an odd one, so both tables are
-    read off ``Z2Algebra._rows`` over its denominator ``den = alg._den``.
+    ``square(e_i, e_j) = e_i e_j - e_j e_i``, and ``angle(e_i, e_j)`` is that
+    for an even ``e_j`` and zero for an odd one: both read off ``_rows``.
     """
     rows, dim = alg._rows, alg.dim
     square_rows = [
@@ -188,82 +239,7 @@ def _bracket_tables(alg):
         for i in range(dim)
     ]
     angle_rows = [[() if alg.parity[j] else row[j] for j in range(dim)] for row in square_rows]
-    return _table_bracket(angle_rows), _table_bracket(square_rows), alg._den
-
-
-def _heads(dim, pattern):
-    """The arguments before the last one, in product order."""
-    units = [{i: 1} for i in range(dim)]
-    if pattern == "triple":
-        return product(units, repeat=2)
-    if pattern == "polarized_pair":
-        # quadratic in the first argument: checking x = e_i + e_j over all
-        # pairs covers the bilinear polarization, so this is complete
-        return ((vec_add(x, y),) for x, y in product(units, repeat=2))
-    return ((x,) for x in units)
-
-
-def _witness(args, residual):
-    return element_witness(*zip("xyz", args), ("residual", residual))
-
-
-def _basis_phase(alg, check, func, pattern, depth, tables):
-    """Record ``func`` on every basis tuple: one call per head, the last argument batched."""
-    table_angle, table_square, den = tables
-    last = _Batch((l, {l: 1}) for l in range(alg.dim))
-    for head in _heads(alg.dim, pattern):
-        residuals = func(table_angle, table_square, *head, last)
-        for l in range(alg.dim):
-            check.record_trial()
-            residual = residuals.get(l)
-            if residual:
-                witness = None
-                if check.witness_wanted:
-                    args = [*head, {l: 1}]
-                    elements = [Element._from_terms(alg, divided(v, 1)) for v in args]
-                    residual = Element._from_terms(alg, divided(residual, den**depth))
-                    witness = _witness(elements, residual)
-                check.record_failure(witness)
-
-
-def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
-    """Evaluate every bracket identity exactly and report failures.
-
-    Each identity runs over all basis arguments (complete for multilinear
-    identities, and polarization-complete for the quadratic one) and then
-    over ``trials`` seeded random dense triples, the same triples for every
-    identity.
-
-    The basis phase runs on the integer bracket tables, one call per head
-    (the arguments before the last) with the last argument batched over
-    every ``e_l``; each identity is homogeneous in bracket depth, so its
-    residual is an integer vector over ``den**depth``.  The random phase
-    draws one triple at a time, clears it of its denominators and runs
-    ``angle``/``square`` on integer vectors multiplied through
-    ``Z2Algebra._rows``, not the tables, so it cross-checks them.  The
-    terms of an identity share one denominator, so the integer residual
-    is zero exactly when the rational one is; a failure rebuilds the
-    ``Fraction`` residual from Elements while witness slots remain.
-    """
-    report = VerificationReport(subject=f"bracket-identities:{alg.name}")
-    tables = _bracket_tables(alg)
-    checks = []
-    for name, func, pattern, depth in IDENTITIES:
-        check = report.check(name)
-        _basis_phase(alg, check, func, pattern, depth, tables)
-        checks.append((check, func))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        sample = tuple(random_element(alg, rng) for _ in range(3))
-        cleared = tuple(_row_vector(alg, clear_denominators(v.terms)[0]) for v in sample)
-        for check, func in checks:
-            check.record_trial()
-            if func(angle, square, *cleared):
-                witness = None
-                if check.witness_wanted:
-                    witness = _witness(sample, func(angle, square, *sample))
-                check.record_failure(witness)
-    return report
+    return partial(bilinear, angle_rows), partial(bilinear, square_rows)
 
 
 @dataclass
@@ -293,10 +269,9 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     echelon basis (pivot = first nonzero coordinate in basis order) until
     nothing new appears.  Terminates because the ambient dimension bounds
     the span.  Each round brackets the span's integer echelon rows, in
-    pivot order, through the verifier's integer bracket tables, one
-    ``bilinear`` per bracket: every row and bracket is a positive multiple
-    of its rational counterpart, so the span grows exactly as it would on
-    ``Element``s.
+    pivot order, through the integer bracket tables, one ``bilinear`` per
+    bracket: every row and bracket is a positive multiple of its rational
+    counterpart, so the span grows exactly as it would on ``Element``s.
     """
     seed_vectors = list(seed_vectors)
     if not seed_vectors:
@@ -309,7 +284,7 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     for v in seed_vectors:
         span.add(v.terms)
 
-    table_angle, table_square, _ = _bracket_tables(alg)
+    table_angle, table_square = _bracket_tables(alg)
     changed = True
     while changed and span.dim < alg.dim:
         changed = False

@@ -36,6 +36,7 @@ from .algebra import (
     random_element,
     random_element_nonzero_even,
     random_pure_odd_element,
+    require_nonnegative_int,
     validate_z2,
 )
 from .report import VerificationReport, element_witness
@@ -198,6 +199,7 @@ def composition_check(alg: Z2Algebra, trials=1000, seed=0) -> VerificationReport
     expected part and equals the product of the factors' squared norms.
     Submultiplicativity is checked in floating point.
     """
+    require_nonnegative_int("seed", seed)
     rng = random.Random(seed)
     report = VerificationReport(subject=f"composition:{alg.name}")
     laws = [(report.check(name), *rest) for name, *rest in _COMPOSITION_LAWS]
@@ -228,6 +230,7 @@ def division_check(alg: Z2Algebra, trials=500, seed=0) -> VerificationReport:
     annihilate every odd element from both sides; the first odd basis
     vector is recorded as the explicit zero-divisor witness.
     """
+    require_nonnegative_int("seed", seed)
     rng = random.Random(seed)
     report = VerificationReport(subject=f"division:{alg.name}")
     invertible = report.check("even_part_nonzero_invertible")

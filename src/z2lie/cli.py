@@ -89,6 +89,8 @@ def cmd_catalog(args):
 def cmd_verify(args):
     if args.trials < 1:
         return _usage_error("--trials must be at least 1")
+    if args.seed < 0:
+        return _usage_error("--seed must be nonnegative")
     try:
         alg, catalog_name = _load_any_algebra(args.algebra)
     except AlgebraFormatError as exc:

@@ -42,7 +42,10 @@ def vec_add(a, b, scale=1):
     scale = scale if type(scale) is int else exact(scale)
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, 0) + scale * v
+        # a Fraction product or sum normalizes by gcd: skip the ones that change nothing
+        if scale != 1:
+            v = -v if scale == -1 else scale * v
+        s = out[k] + v if k in out else v
         if s:
             out[k] = s
         else:

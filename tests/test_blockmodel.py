@@ -520,6 +520,16 @@ def test_correspondence_refuses_a_budget_at_most_dim_l(budget):
     assert correspondence_roundtrip(mats, SHAPE11, budget=2, seed=0).passed
 
 
+@pytest.mark.parametrize("budget", [-5, 0, 1, True], ids=repr)
+def test_sampler_refuses_a_budget_at_most_its_generator_count(budget):
+    # one generator takes two samples, the identity and one more, to span
+    # its direction; these budgets used to return the identity alone
+    gens = _float_units(SHAPE11, [(0, 0)])
+    with pytest.raises(ValueError, match="budget must be an int greater than len"):
+        sample_xi_group(SHAPE11, gens, budget, 0)
+    assert len(tangent_basis(sample_xi_group(SHAPE11, gens, 2, 0))) == 1
+
+
 _PADDED_5X5 = [[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(4)]
 
 

@@ -7,18 +7,20 @@ from itertools import product
 import pytest
 
 from support import find_check
-from z2lie.algebra import AlgebraDef, Element, random_element, validate_z2
+from z2lie import brackets
+from z2lie.algebra import AlgebraDef, Element, associator_tensor, random_element, validate_z2
 from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
 from z2lie.brackets import (
     IDENTITIES,
     _bracket_tables,
     angle,
+    associator_terms,
     generate_subalgebra,
     square,
     verify_identities,
 )
-from z2lie.catalog import CATALOG_NAMES, catalog_algebra
-from z2lie.linalg import FractionSpan, divided
+from z2lie.catalog import CATALOG_NAMES, catalog_algebra, composition_check, division_check
+from z2lie.linalg import FractionSpan, divided, vec_add
 from z2lie.report import VerificationReport, element_witness
 
 ASSOCIATIVE_EIGHT = ("R", "C", "H", "R2", "C2", "C-2", "H2", "H-2")
@@ -127,23 +129,31 @@ def test_exhaustive_counts_are_pinned(name):
         assert check.failure_count == EXHAUSTIVE_FAILURES.get(name, {}).get(check.name, 0)
 
 
-@functools.lru_cache(maxsize=1)
-def _element_basis_residuals(alg):
-    """Per identity, ``(arguments, residual)`` on every basis tuple, as Elements."""
-    basis = [alg.basis(i) for i in range(alg.dim)]
-    arguments = {
-        "triple": list(product(basis, repeat=3)),
-        "pair": list(product(basis, repeat=2)),
-        # x = e_i + e_j, which is 2 e_i when i == j
-        "polarized_pair": [(x + y, z) for x, y, z in product(basis, repeat=3)],
-    }
-    return [
-        [(args, func(angle, square, *args)) for args in arguments[pattern]]
-        for _name, func, pattern, _depth in IDENTITIES
-    ]
+def _basis_tuples(dim, pattern):
+    """The basis tuples of ``pattern`` in product order; a polarized pair has three letters."""
+    return product(range(dim), repeat=2 if pattern == "pair" else 3)
 
 
-def _element_loop_report(alg, trials, seed):
+def _arguments(alg, pattern, basis_tuple):
+    """The identity's arguments at a basis tuple: ``(e_i + e_j, e_k)`` for a polarized pair,
+    which is ``(2 e_i, e_k)`` when i == j."""
+    args = [alg.basis(i) for i in basis_tuple]
+    return [args[0] + args[1], args[2]] if pattern == "polarized_pair" else args
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_residuals(defn, identity):
+    """The residual ``terms`` of ``identity`` on every basis tuple, in product
+    order, evaluated by ``angle``/``square`` on Elements."""
+    alg = validate_z2(defn)
+    _name, func, pattern = identity
+    return tuple(
+        func(angle, square, *_arguments(alg, pattern, t)).terms
+        for t in _basis_tuples(alg.dim, pattern)
+    )
+
+
+def _element_loop_report(alg, trials, seed, identities=IDENTITIES):
     """verify_identities(alg, trials, seed) as a plain loop over Elements.
 
     The samples are drawn as verify_identities draws them: ``trials``
@@ -152,13 +162,19 @@ def _element_loop_report(alg, trials, seed):
     rng = random.Random(seed)
     samples = [tuple(random_element(alg, rng) for _ in range(3)) for _ in range(trials)]
     report = VerificationReport(subject=f"bracket-identities:{alg.name}")
-    for (name, func, _pattern, _depth), on_basis in zip(
-        IDENTITIES, _element_basis_residuals(alg)
-    ):
+    for identity in identities:
+        name, func, pattern = identity
         check = report.check(name)
-        on_samples = [(args, func(angle, square, *args)) for args in samples]
-        for args, residual in on_basis + on_samples:
+        on_basis = zip(_basis_tuples(alg.dim, pattern), _direct_residuals(alg.defn, identity))
+        for basis_tuple, terms in on_basis:
             check.record_trial()
+            if terms:
+                args = _arguments(alg, pattern, basis_tuple)
+                residual = Element._from_terms(alg, terms)
+                check.record_failure(element_witness(*zip("xyz", args), ("residual", residual)))
+        for args in samples:
+            check.record_trial()
+            residual = func(angle, square, *args)
             if not residual.is_zero():
                 check.record_failure(element_witness(*zip("xyz", args), ("residual", residual)))
     return report.to_json_dict()
@@ -178,17 +194,21 @@ def _one_off_algebra():
     )
 
 
+def _named_algebra(name, rescaled_o_minus_2):
+    if name == "blockmat(2,1)":
+        return block_matrix_algebra(2, 1)
+    if name == "O-2 rescaled":
+        return validate_z2(rescaled_o_minus_2)
+    if name == "one-off":
+        return _one_off_algebra()
+    return catalog_algebra(name)
+
+
 @pytest.mark.parametrize("name", ["C-2", "O-2", "blockmat(2,1)", "O-2 rescaled", "one-off"])
 def test_bracket_tables_agree_with_elements(name, rescaled_o_minus_2):
-    if name == "blockmat(2,1)":
-        alg = block_matrix_algebra(2, 1)
-    elif name == "O-2 rescaled":
-        alg = validate_z2(rescaled_o_minus_2)
-    elif name == "one-off":
-        alg = _one_off_algebra()
-    else:
-        alg = catalog_algebra(name)
-    table_angle, table_square, den = _bracket_tables(alg)
+    alg = _named_algebra(name, rescaled_o_minus_2)
+    table_angle, table_square = _bracket_tables(alg)
+    den = alg._den
     # fractional constants give a common denominator above 1
     assert (den > 1) == (name in ("O-2 rescaled", "one-off"))
     for i, j in product(range(alg.dim), repeat=2):
@@ -198,6 +218,101 @@ def test_bracket_tables_agree_with_elements(name, rescaled_o_minus_2):
     for seed in (0, 3):
         expected = _element_loop_report(alg, trials=12, seed=seed)
         assert verify_identities(alg, trials=12, seed=seed).to_json_dict() == expected
+
+
+def test_associator_term_counts_are_pinned():
+    counts = {identity[0]: len(associator_terms(identity)) for identity in IDENTITIES}
+    assert counts == {
+        "leibniz": 12,
+        "huliu_1": 0,
+        "huliu_2": 0,
+        "huliu_3": 18,
+        "huliu_4": 0,
+        "jacobi": 24,
+        "antisymmetry": 0,
+    }
+
+
+def _mispredicted(alg, identity, terms):
+    """Basis tuples where the sum of ``terms`` over the associator tensor differs
+    from the direct Element residual; the sum is gathered tuple by tuple here,
+    not scattered as the verifier does."""
+    tensor, parity = associator_tensor(alg), alg.parity
+    wrong = []
+    tuples = _basis_tuples(alg.dim, identity[2])
+    for basis_tuple, direct in zip(tuples, _direct_residuals(alg.defn, identity)):
+        predicted = {}
+        for letters, parities, alpha in terms:
+            slots = tuple(basis_tuple[letter] for letter in letters)
+            if tuple(parity[s] for s in slots) == parities:
+                predicted = vec_add(predicted, tensor.get(slots, {}), alpha)
+        if divided(predicted, alg._den**2) != direct:
+            wrong.append(basis_tuple)
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name", [*CATALOG_NAMES, "O-2 rescaled", "blockmat(2,1)", "one-off"]
+)
+def test_associator_terms_predict_every_basis_residual(name, rescaled_o_minus_2):
+    alg = _named_algebra(name, rescaled_o_minus_2)
+    for identity in IDENTITIES:
+        assert _mispredicted(alg, identity, associator_terms(identity)) == [], identity[0]
+
+
+def _changed_alpha(terms):
+    (letters, parities, alpha), *rest = terms
+    return [(letters, parities, alpha + 1), *rest]
+
+
+@pytest.mark.parametrize("change", [_changed_alpha, lambda terms: terms[:-1]], ids=["alpha", "dropped"])
+@pytest.mark.parametrize("name", ["leibniz", "huliu_3", "jacobi"])
+def test_a_changed_or_dropped_term_mispredicts(name, change):
+    # negative control for the agreement test above
+    identity = next(entry for entry in IDENTITIES if entry[0] == name)
+    terms = change(list(associator_terms(identity)))
+    assert _mispredicted(catalog_algebra("O2"), identity, terms)
+
+
+def _square_alone(angle, square, x, y, z):
+    return square(x, y)
+
+
+def _right_product_alone(angle, square, x, y, z):
+    return x * (y * z)
+
+
+@pytest.mark.parametrize("func", [_square_alone, _right_product_alone])
+def test_a_residual_that_is_not_an_associator_sum_raises(func):
+    with pytest.raises(ValueError, match="not a combination of associators"):
+        associator_terms(("not-an-identity", func, "triple"))
+
+
+def _left_alternative(angle, square, x, y, _z=None):
+    return (x * x) * y - x * (x * y)
+
+
+@pytest.mark.parametrize("name", ["O2", "O-2"])
+def test_basis_phase_scatters_a_repeated_letter(name, monkeypatch):
+    # the left alternative law polarized: its terms (x, x, z) and (y, y, z)
+    # use one letter twice and leave the other free over the basis
+    identity = ("left_alternative", _left_alternative, "polarized_pair")
+    assert {letters for letters, _, _ in associator_terms(identity)} == {
+        (0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)
+    }
+    monkeypatch.setattr(brackets, "IDENTITIES", (identity,))
+    alg = catalog_algebra(name)
+    report = verify_identities(alg, trials=3, seed=1)
+    assert report.to_json_dict() == _element_loop_report(alg, 3, 1, identities=(identity,))
+    assert report.checks[0].passed == (name == "O2")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+@pytest.mark.parametrize("check", [verify_identities, composition_check, division_check])
+def test_bad_seeds_are_refused(check, seed):
+    # random.Random(-1) would repeat the stream of seed 1, Random(True) that of 1
+    with pytest.raises(ValueError, match="seed must be a nonnegative int"):
+        check(catalog_algebra("C"), trials=1, seed=seed)
 
 
 def test_random_phase_witnesses_follow_the_basis_ones():

@@ -529,6 +529,8 @@ _BAD_SHAPES = st.one_of(
         _NOT_INT.map(lambda t: ["verify", "C", f"--trials={t}"]),
         st.integers(max_value=0).map(lambda n: ["verify", "C", f"--trials={n}"]),
         _NOT_INT.map(lambda t: ["verify", "C", f"--seed={t}"]),
+        # random.Random(-1) would silently run the stream of seed 1
+        st.integers(max_value=-1).map(lambda n: ["verify", "H-2", "--trials=5", f"--seed={n}"]),
         _BAD_ELEMENTS.map(lambda t: ["invert", "R2", f"--element={t}"]),
         _BAD_SHAPES.map(lambda t: ["correspond", f"--shape={t}"]),
     )
@@ -581,6 +583,36 @@ def test_exact_commands_do_not_import_numpy():
     # correspond loads numpy but draws from the stdlib generator
     assert correspond == 0
     assert after == {"numpy": True, "numpy.random": False, "secrets": False, "hashlib": False}
+
+
+_IMPORT_CHILD = """
+import contextlib, io, json, sys
+import z2lie.cli
+from z2lie.algebra import associator_tensor
+from z2lie.brackets import associator_terms
+
+def built():
+    return [associator_terms.cache_info().misses, associator_tensor.cache_info().misses]
+
+after_import = [*built(), "numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = z2lie.cli.main(["correspond", "--shape", "2,2"])
+print(json.dumps([after_import, code, built()[1]]))
+"""
+
+
+def test_importing_the_cli_derives_and_builds_nothing():
+    # every command pays this import: no identity is derived, no associator
+    # tensor built and numpy not loaded until a command asks for them
+    env = dict(os.environ, PYTHONPATH=str(Path(z2lie.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHILD],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    after_import, correspond, tensors = json.loads(child.stdout)
+    assert after_import == [0, 0, False]
+    # correspond closes its generators through the bracket tables, not the tensor
+    assert correspond == 0 and tensors == 0
 
 
 _BLAS_THREADS_CHILD = """
