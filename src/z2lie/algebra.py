@@ -188,7 +188,6 @@ class Z2Algebra:
         self.name = defn.name
         self.dim = defn.dim
         self.parity = defn.parity
-        self.even_indices = tuple(i for i, p in enumerate(defn.parity) if p == 0)
         self.odd_indices = tuple(i for i, p in enumerate(defn.parity) if p == 1)
         # integer structure constants over one common denominator
         numerators, self._den = clear_denominators(
@@ -229,9 +228,6 @@ class Z2Algebra:
         if i not in range(self.dim):
             raise IndexError(f"basis index {i!r} is outside range({self.dim})")
         return Element._from_terms(self, {i: 1})
-
-    def zero(self):
-        return Element._from_terms(self, {})
 
     def __repr__(self):
         return f"Z2Algebra({self.name!r}, dim={self.dim})"

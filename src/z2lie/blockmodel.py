@@ -7,7 +7,8 @@ lower-left and therefore vanishes, so the grading holds by block
 multiplication alone, which makes this the standard desk-scale model for
 numeric experiments.  The one kept here is the correspondence experiment
 of ``correspond``: matrix exp/log, conjugation-closure of sampled groups,
-and tangent-space recovery, against the exact rational shadow.  The
+and tangent-space recovery, against the exact rational shadow
+:func:`block_matrix_algebra`, whose ``Element``s are the generators.  The
 residual ladder of the extended series on block matrices, which no
 command runs, lives with the tests in ``tests/cbh_ladder.py``.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, require_nonnegative_int, validate_z2
 from .brackets import generate_subalgebra
-from .linalg import FractionSpan, exact
+from .linalg import FractionSpan
 from .report import VerificationReport
 
 EXP_SERIES_TOL = 1e-14
@@ -50,6 +51,8 @@ SAMPLE_LOG_MARGIN = 0.6
 SAMPLE_NORM_BOUND = 3.0
 # the exact shadow has dim p^2 + q^2 + pq and is built from all unit pairs
 MAX_BLOCK_SIZE = 8
+# the largest group sample: 10,000 matrices of at most 8 x 8 floats are 5 MB
+MAX_BUDGET = 10_000
 
 
 class LogOutOfDomain(Exception):
@@ -282,12 +285,13 @@ class XiGroupSample:
 def sample_xi_group(shape: BlockShape, generators, budget, seed):
     """Products of small exponentials of the basis plus xi-conjugations.
 
-    ``generators`` is a (k, n, n) stack, ``budget`` an int above k, and
-    ``seed`` a nonnegative int that seeds one ``random.Random`` stream for
-    every draw.  The sample starts at the identity and draws at most
-    ``20 * budget`` attempts, in rounds.  The first rounds draw only fresh
-    exponentials of random combinations of the generators, until there are k
-    of them, so a budget of dim(L) + 1 can span the tangent space.  Each
+    ``generators`` is a (k, n, n) stack, ``budget`` an int above k and at
+    most ``MAX_BUDGET``, and ``seed`` a nonnegative int that seeds one
+    ``random.Random`` stream for every draw.  The sample starts at the
+    identity and draws at most ``20 * budget`` attempts, in rounds.  The
+    first rounds draw only fresh exponentials of random combinations of the
+    generators, until there are k of them, so a budget of dim(L) + 1 can
+    span the tangent space.  Each
     later round draws every missing attempt at once: a fresh exponential, a
     product of two, or a xi-conjugate of one by the even part of another,
     both taken from earlier rounds.  A candidate is kept, in attempt order,
@@ -308,6 +312,8 @@ def sample_xi_group(shape: BlockShape, generators, budget, seed):
     p, n, k = shape.p, shape.n, len(generators)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget <= k:
         raise ValueError(f"budget must be an int greater than len(generators) = {k}")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"budget must be at most MAX_BUDGET = {MAX_BUDGET}")
     identity = np.eye(n)
     flat = generators.reshape(k, n * n)
     # every product keeps the lower-left block exactly zero
@@ -438,7 +444,7 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
 
 
 def correspondence_roundtrip(
-    exact_generators,
+    generators,
     shape: BlockShape,
     budget=60,
     tol=1e-6,
@@ -446,9 +452,10 @@ def correspondence_roundtrip(
 ) -> VerificationReport:
     """Round trip: exponentiate a bracket-closed basis, recover its tangent span.
 
-    ``exact_generators`` are rational matrices; closure under both
-    brackets is verified exactly on the rational shadow of the block
-    algebra before the numeric experiment runs.  The numeric side samples
+    ``generators`` are ``Element``s of ``block_matrix_algebra(shape.p,
+    shape.q)``, the exact rational shadow of the block algebra; anything
+    else raises ValueError.  Closure under both brackets is verified exactly
+    on them before the numeric experiment runs.  The numeric side samples
     the generated group, takes logs, and asserts that the recovered span
     matches span(L): dimension never exceeds dim(L) and all principal
     angles stay within ``tol``.  The tangent span and conjugation closure
@@ -461,16 +468,18 @@ def correspondence_roundtrip(
     _require_tolerance(tol)
     require_nonnegative_int("seed", seed)
     alg = block_matrix_algebra(shape.p, shape.q)
-    exact_elements = [block_matrix_element(alg, shape, m) for m in exact_generators]
-    dim_l = _exact_rank(exact_elements)
+    generators = list(generators)
+    if not all(isinstance(g, Element) and g.algebra is alg for g in generators):
+        raise ValueError(f"generators must be Elements of {alg.name}")
+    dim_l = _exact_rank(generators)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget <= dim_l:
         raise ValueError(f"budget must be an int greater than dim(L) = {dim_l}")
     report = VerificationReport(
         subject=f"correspondence:p={shape.p},q={shape.q}"
     )
     closure = report.check("bracket_closure_exact")
-    if exact_elements:
-        span_dim = generate_subalgebra(exact_elements).dim
+    if generators:
+        span_dim = generate_subalgebra(generators).dim
         closure.record_trial()
         if span_dim != dim_l:
             closure.record_failure({"input_rank": dim_l, "closure_dim": span_dim})
@@ -478,8 +487,8 @@ def correspondence_roundtrip(
         closure.note = "vacuous: empty basis"
 
     units = block_matrix_units(shape.p, shape.q)
-    float_gens = np.zeros((len(exact_elements), shape.n, shape.n))
-    for mat, el in zip(float_gens, exact_elements):
+    float_gens = np.zeros((len(generators), shape.n, shape.n))
+    for mat, el in zip(float_gens, generators):
         for i, value in el.terms.items():
             mat[units[i]] = float(value)
     sample = sample_xi_group(shape, float_gens, budget, seed)
@@ -527,30 +536,17 @@ def block_matrix_units(p, q):
     return units
 
 
-def unit_matrices(shape: BlockShape, positions):
-    """Rational matrix units: a 1 at each ``(row, column)`` position."""
-    out = []
-    for r, c in positions:
-        mat = [[Fraction(0)] * shape.n for _ in range(shape.n)]
-        mat[r][c] = Fraction(1)
-        out.append(mat)
-    return out
-
-
 @lru_cache(maxsize=None)
-def _unit_index(p, q):
-    """``(row, column)`` to basis index, for the units of ``block_matrix_units``."""
-    return {rc: i for i, rc in enumerate(block_matrix_units(p, q))}
-
-
-@lru_cache(maxsize=None)
-def block_matrix_algebra(p, q) -> Z2Algebra:
+def block_matrix_algebra(p, q, /) -> Z2Algebra:
     """Exact structure-constant form of the block-triangular matrix algebra.
 
+    Basis vector i is the matrix unit at ``block_matrix_units(p, q)[i]``.
     Validated once per shape; the handle is immutable, so it is shared.
+    The arguments are positional, so a shape has one cached handle, and
+    ``correspondence_roundtrip`` takes the Elements of that one.
     """
     units = block_matrix_units(p, q)
-    index = _unit_index(p, q)
+    index = {rc: i for i, rc in enumerate(units)}
     parity = tuple(0 if (r < p) == (c < p) else 1 for r, c in units)
     triples = []
     for i, (r, c) in enumerate(units):
@@ -569,21 +565,3 @@ def block_matrix_algebra(p, q) -> Z2Algebra:
         unit=unit,
     )
     return validate_z2(defn)
-
-
-def block_matrix_element(alg: Z2Algebra, shape: BlockShape, matrix) -> Element:
-    """Exact Element from a rational matrix with zero lower-left block."""
-    n = shape.n
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"matrix must be {n} x {n} for shape ({shape.p}, {shape.q})")
-    index = _unit_index(shape.p, shape.q)
-    terms = {}
-    for r, row in enumerate(matrix):
-        for c, value in enumerate(row):
-            value = exact(value)
-            if not value:
-                continue
-            if (r, c) not in index:
-                raise ValueError(f"entry ({r},{c}) lies in the forbidden block")
-            terms[index[(r, c)]] = value
-    return Element._from_terms(alg, terms)

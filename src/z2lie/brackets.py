@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 from .algebra import (
@@ -227,51 +227,15 @@ def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
     return report
 
 
-def _bracket_tables(alg):
-    """``(angle, square)`` of integer vectors, each one ``bilinear``, times ``alg._den``.
-
-    ``square(e_i, e_j) = e_i e_j - e_j e_i``, and ``angle(e_i, e_j)`` is that
-    for an even ``e_j`` and zero for an odd one: both read off ``_rows``.
-    """
-    rows, dim = alg._rows, alg.dim
-    square_rows = [
-        [tuple(vec_add(dict(rows[i][j]), dict(rows[j][i]), -1).items()) for j in range(dim)]
-        for i in range(dim)
-    ]
-    angle_rows = [[() if alg.parity[j] else row[j] for j in range(dim)] for row in square_rows]
-    return partial(bilinear, angle_rows), partial(bilinear, square_rows)
-
-
-@dataclass
-class SubalgebraBasis:
-    """A subspace closed under both brackets, kept as one echelon span."""
-
-    algebra: Z2Algebra
-    span: FractionSpan
-
-    @property
-    def vectors(self):
-        """The echelon rows as Elements, in pivot order."""
-        return tuple(Element._from_terms(self.algebra, row) for row in self.span.rows())
-
-    @property
-    def dim(self):
-        return self.span.dim
-
-    def contains(self, element: Element) -> bool:
-        return self.span.contains(element.terms)
-
-
-def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
+def generate_subalgebra(seed_vectors) -> FractionSpan:
     """Smallest subspace containing the seeds and closed under both brackets.
 
-    Iteratively adjoins all pairwise angle and square brackets, keeping an
-    echelon basis (pivot = first nonzero coordinate in basis order) until
-    nothing new appears.  Terminates because the ambient dimension bounds
-    the span.  Each round brackets the span's integer echelon rows, in
-    pivot order, through the integer bracket tables, one ``bilinear`` per
-    bracket: every row and bracket is a positive multiple of its rational
-    counterpart, so the span grows exactly as it would on ``Element``s.
+    Returns its echelon ``FractionSpan``, grown round by round until no
+    bracket adds to it.  A round brackets the span's integer echelon rows, in
+    pivot order, with two ``bilinear`` calls on ``Z2Algebra._rows`` each:
+    ``angle(a, b) = a b0 - b0 a`` (``b0`` the even part of ``b``), then
+    ``square(a, b) = a b - b a``.  Each is a positive multiple of its
+    rational counterpart, so the span grows exactly as on ``Element``s.
     """
     seed_vectors = list(seed_vectors)
     if not seed_vectors:
@@ -284,15 +248,16 @@ def generate_subalgebra(seed_vectors) -> SubalgebraBasis:
     for v in seed_vectors:
         span.add(v.terms)
 
-    table_angle, table_square = _bracket_tables(alg)
+    rows, parity = alg._rows, alg.parity
     changed = True
     while changed and span.dim < alg.dim:
         changed = False
         basis = span.integer_rows()
         for a in basis:
             for b in basis:
-                for bracket in (table_angle, table_square):
-                    new = bracket(a, b)
+                b0 = {k: c for k, c in b.items() if not parity[k]}
+                for c in (b0, b):
+                    new = vec_add(bilinear(rows, a, c), bilinear(rows, c, a), -1)
                     if new and span.add(new):
                         changed = True
-    return SubalgebraBasis(algebra=alg, span=span)
+    return span

@@ -177,12 +177,7 @@ def cmd_correspond(args):
     # Its matrices are at most MAX_BLOCK_SIZE = 8 square, too small for BLAS
     # worker threads, which would only spin; a value the user sets wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .blockmodel import (
-        BlockShape,
-        block_matrix_units,
-        correspondence_roundtrip,
-        unit_matrices,
-    )
+    from .blockmodel import MAX_BUDGET, BlockShape, block_matrix_algebra, correspondence_roundtrip
 
     if not (math.isfinite(args.tol) and args.tol >= 0):
         return _usage_error("--tol must be a finite nonnegative number")
@@ -191,21 +186,23 @@ def cmd_correspond(args):
         shape = BlockShape(int(p_str), int(q_str))
     except (ValueError, TypeError) as exc:
         return _usage_error(f"bad --shape (want p,q): {exc}")
-    units = block_matrix_units(shape.p, shape.q)
+    if args.trials > MAX_BUDGET:
+        return _usage_error(f"--trials must be at most {MAX_BUDGET}")
+    alg = block_matrix_algebra(shape.p, shape.q)
     # the identity sample has log 0, so recovering the full suite's
     # dim(L) = p^2 + q^2 + pq tangent directions takes dim(L) + 1 samples
-    if args.trials <= len(units):
+    if args.trials <= alg.dim:
         return _usage_error(
-            f"--trials must be at least p^2 + q^2 + pq + 1 = {len(units) + 1} "
+            f"--trials must be at least p^2 + q^2 + pq + 1 = {alg.dim + 1} "
             f"for --shape {shape.p},{shape.q}"
         )
     if args.seed < 0:
         return _usage_error("--seed must be nonnegative")
-    even_units = [rc for rc in units if (rc[0] < shape.p) == (rc[1] < shape.p)]
+    basis = [alg.basis(i) for i in range(alg.dim)]
     suites = {
         "trivial": [],
-        "even": unit_matrices(shape, even_units),
-        "full": unit_matrices(shape, units),
+        "even": [e for e, parity in zip(basis, alg.parity) if not parity],
+        "full": basis,
     }
     doc = {"shape": [shape.p, shape.q], "suites": {}}
     passed = True

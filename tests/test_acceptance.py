@@ -22,12 +22,7 @@ from z2lie.bch import (
     gen,
     square_term,
 )
-from z2lie.blockmodel import (
-    BlockShape,
-    block_matrix_units,
-    correspondence_roundtrip,
-    unit_matrices,
-)
+from z2lie.blockmodel import BlockShape, block_matrix_algebra, correspondence_roundtrip
 from z2lie.brackets import verify_identities
 from z2lie.catalog import (
     CATALOG_NAMES,
@@ -143,15 +138,15 @@ def test_criterion_07_convergence_order():
 @criterion(8, "tangent round trip: span recovery within 1e-6, xi-closure within 1e-8")
 def test_criterion_08_correspondence():
     for shape in (BlockShape(1, 1), BlockShape(2, 2)):
-        units = block_matrix_units(shape.p, shape.q)
-        even_units = [rc for rc in units if (rc[0] < shape.p) == (rc[1] < shape.p)]
-        for label, positions in (
+        alg = block_matrix_algebra(shape.p, shape.q)
+        basis = [alg.basis(i) for i in range(alg.dim)]
+        for label, gens in (
             ("trivial", []),
-            ("even", even_units),
-            ("full", units),
+            ("even", [e for e, parity in zip(basis, alg.parity) if not parity]),
+            ("full", basis),
         ):
             report = correspondence_roundtrip(
-                unit_matrices(shape, positions),
+                gens,
                 shape,
                 budget=60,
                 tol=1e-6,

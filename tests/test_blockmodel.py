@@ -14,16 +14,16 @@ from cbh_ladder import (
     random_block,
 )
 from support import find_check
-from z2lie.algebra import is_associative
+from z2lie.algebra import Element, is_associative
 from z2lie.bch import bracket_basis_fit, bracket_value, gen, printed_series_terms
 from z2lie.blockmodel import (
     BlockMatElement,
     BlockShape,
+    MAX_BUDGET,
     SAMPLE_LOG_MARGIN,
     LogOutOfDomain,
     XiGroupSample,
     block_matrix_algebra,
-    block_matrix_element,
     block_matrix_units,
     correspondence_roundtrip,
     exp_stack,
@@ -33,7 +33,6 @@ from z2lie.blockmodel import (
     principal_angles,
     sample_xi_group,
     tangent_basis,
-    unit_matrices,
     xi_closure_check,
 )
 
@@ -47,6 +46,16 @@ def element_to_matrix(el, shape):
     for (r, c), coeff in zip(block_matrix_units(shape.p, shape.q), el.coeffs):
         out[r][c] = coeff
     return out
+
+
+def matrix_to_element(shape, matrix):
+    """The Element of ``block_matrix_algebra`` holding ``matrix`` off its lower-left block."""
+    alg = block_matrix_algebra(shape.p, shape.q)
+    return Element(alg, [matrix[r][c] for r, c in block_matrix_units(shape.p, shape.q)])
+
+
+# the exact (0, 0) matrix unit of blockmat(1,1), a one-generator suite
+UNIT00 = [block_matrix_algebra(1, 1).basis(0)]
 
 
 def test_lower_left_block_rejected():
@@ -211,12 +220,11 @@ def test_evaluate_series_degree_one():
 def test_bracket_value_agrees_on_exact_shadow():
     # one evaluator: exact Elements of the rational shadow and float block
     # matrices give the same value for every monomial of the degree-3 fit
-    alg = block_matrix_algebra(2, 2)
     rng = np.random.default_rng(14)
     mats = [rng.integers(-3, 4, size=(4, 4)) for _ in range(4)]
     for m in mats:
         m[2:, :2] = 0
-    exact = _values(*(block_matrix_element(alg, SHAPE22, m.tolist()) for m in mats))
+    exact = _values(*(matrix_to_element(SHAPE22, m.tolist()) for m in mats))
     floats = _values(*(BlockMatElement(SHAPE22, m) for m in mats))
     for term, _ in bracket_basis_fit(3):
         expected = np.array(element_to_matrix(bracket_value(term, exact), SHAPE22), dtype=float)
@@ -387,7 +395,10 @@ def test_xi_group_sample_shapes_checked():
 
 
 def _float_units(shape, positions):
-    return np.array(unit_matrices(shape, positions), dtype=float)
+    out = np.zeros((len(positions), shape.n, shape.n))
+    for mat, rc in zip(out, positions):
+        mat[rc] = 1.0
+    return out
 
 
 def _suite(shape, full):
@@ -470,9 +481,8 @@ def test_correspondence_trivial_group():
 
 @pytest.mark.parametrize("tols", [{"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}])
 def test_correspondence_rejects_bad_tolerances(tols):
-    mats = unit_matrices(SHAPE11, [(0, 0)])
     with pytest.raises(ValueError, match="tolerances"):
-        correspondence_roundtrip(mats, SHAPE11, budget=10, seed=0, **tols)
+        correspondence_roundtrip(UNIT00, SHAPE11, budget=10, seed=0, **tols)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
@@ -501,7 +511,7 @@ def test_bad_seeds_are_refused(seed):
     with pytest.raises(ValueError, match="seed must be a nonnegative int"):
         xi_closure_check(_trivial_sample(SHAPE11), trials=5, seed=seed)
     with pytest.raises(ValueError, match="seed must be a nonnegative int"):
-        correspondence_roundtrip(unit_matrices(SHAPE11, [(0, 0)]), SHAPE11, budget=5, seed=seed)
+        correspondence_roundtrip(UNIT00, SHAPE11, budget=5, seed=seed)
 
 
 @pytest.mark.parametrize("trials", [-1, 1.5, True, "3"], ids=repr)
@@ -514,10 +524,9 @@ def test_xi_closure_refuses_bad_trials(trials):
 @pytest.mark.parametrize("budget", [0, 1, -5, 1.5, True, "2"])
 def test_correspondence_refuses_a_budget_at_most_dim_l(budget):
     # one unit generator: dim(L) = 1, so the budget must be an int above 1
-    mats = unit_matrices(SHAPE11, [(0, 0)])
     with pytest.raises(ValueError, match="budget must be an int greater than dim"):
-        correspondence_roundtrip(mats, SHAPE11, budget=budget, seed=0)
-    assert correspondence_roundtrip(mats, SHAPE11, budget=2, seed=0).passed
+        correspondence_roundtrip(UNIT00, SHAPE11, budget=budget, seed=0)
+    assert correspondence_roundtrip(UNIT00, SHAPE11, budget=2, seed=0).passed
 
 
 @pytest.mark.parametrize("budget", [-5, 0, 1, True], ids=repr)
@@ -530,38 +539,49 @@ def test_sampler_refuses_a_budget_at_most_its_generator_count(budget):
     assert len(tangent_basis(sample_xi_group(SHAPE11, gens, 2, 0))) == 1
 
 
+def test_sampler_refuses_a_budget_above_the_maximum():
+    # refused before any draw: no attempt array of the budget's size is made
+    gens = _float_units(SHAPE11, [(0, 0)])
+    with pytest.raises(ValueError, match=f"budget must be at most MAX_BUDGET = {MAX_BUDGET}"):
+        sample_xi_group(SHAPE11, gens, MAX_BUDGET + 1, 0)
+
+
 _PADDED_5X5 = [[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(4)]
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [[[1]], _PADDED_5X5, [[1, 0, 0, 0], [0, 0], [0] * 4, [0] * 4]],
-    ids=["1x1", "zero-padded-5x5", "ragged"],
+    "generator",
+    [
+        [[1]],
+        _PADDED_5X5,
+        [[1, 0, 0, 0], [0, 0], [0] * 4, [0] * 4],
+        np.eye(4),
+        block_matrix_algebra(1, 1).basis(0),
+    ],
+    ids=["1x1", "zero-padded-5x5", "ragged", "4x4", "blockmat(1,1)"],
 )
-def test_matrix_of_the_wrong_size_is_refused(matrix):
-    with pytest.raises(ValueError, match="matrix must be 4 x 4"):
-        block_matrix_element(block_matrix_algebra(2, 2), SHAPE22, matrix)
-    with pytest.raises(ValueError, match="matrix must be 4 x 4"):
-        correspondence_roundtrip([matrix], SHAPE22, budget=5, seed=0)
+def test_matrix_of_the_wrong_size_is_refused(generator):
+    # the exact side takes Elements of blockmat(2,2) only: a raw matrix of any
+    # size, or an Element of another shape, never reaches the sampler (the
+    # first three once passed as a one-generator suite)
+    with pytest.raises(ValueError, match=r"generators must be Elements of blockmat\(2,2\)"):
+        correspondence_roundtrip([generator], SHAPE22, budget=5, seed=0)
 
 
 def test_correspondence_single_even_generator():
-    mats = unit_matrices(SHAPE11, [(0, 0)])
-    report = correspondence_roundtrip(mats, SHAPE11, budget=30, seed=0)
+    report = correspondence_roundtrip(UNIT00, SHAPE11, budget=30, seed=0)
     assert report.passed
 
 
 def test_correspondence_full_suites():
     for shape in (SHAPE11, SHAPE22):
-        units = block_matrix_units(shape.p, shape.q)
-        even_units = [rc for rc in units if (rc[0] < shape.p) == (rc[1] < shape.p)]
-        for positions in ([], even_units, units):
-            report = correspondence_roundtrip(
-                unit_matrices(shape, positions), shape, budget=50, seed=0
-            )
+        alg = block_matrix_algebra(shape.p, shape.q)
+        for parities in ([], [0], [0, 1]):
+            gens = [alg.basis(i) for i in range(alg.dim) if alg.parity[i] in parities]
+            report = correspondence_roundtrip(gens, shape, budget=50, seed=0)
             assert report.passed, (
                 shape,
-                len(positions),
+                len(gens),
                 [c.name for c in report.checks if not c.passed],
             )
 
@@ -569,17 +589,22 @@ def test_correspondence_full_suites():
 def test_block_matrix_algebra_exact_shadow():
     alg = block_matrix_algebra(2, 2)
     assert alg.dim == 12
+    # one handle per shape: correspondence_roundtrip accepts its Elements only
+    assert block_matrix_algebra(2, 2) is alg
+    with pytest.raises(TypeError):
+        block_matrix_algebra(p=2, q=2)
     assert is_associative(alg)
     shape = SHAPE22
     m = [[Fraction(1), 0, Fraction(1, 2), 0], [0, 0, 0, 0], [0, 0, Fraction(2), 0], [0, 0, 0, 0]]
-    el = block_matrix_element(alg, shape, m)
+    el = matrix_to_element(shape, m)
     assert element_to_matrix(el, shape) == [
         [Fraction(1), 0, Fraction(1, 2), 0],
         [0, 0, 0, 0],
         [0, 0, Fraction(2), 0],
         [0, 0, 0, 0],
     ]
-    with pytest.raises(ValueError):
-        block_matrix_element(alg, shape, [[0] * 4, [0] * 4, [Fraction(1), 0, 0, 0], [0] * 4])
+    # no basis unit lies in the lower-left block, so no Element has an entry there
+    cells = [(r, c) for r in range(4) for c in range(4) if not (r >= 2 and c < 2)]
+    assert sorted(block_matrix_units(2, 2)) == cells
     with pytest.raises(TypeError):
-        block_matrix_element(alg, shape, [[0.5, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4])
+        matrix_to_element(shape, [[0.5, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4])

@@ -9,10 +9,9 @@ import pytest
 from support import find_check
 from z2lie import brackets
 from z2lie.algebra import AlgebraDef, Element, associator_tensor, random_element, validate_z2
-from z2lie.blockmodel import BlockShape, block_matrix_algebra, block_matrix_element
+from z2lie.blockmodel import block_matrix_algebra
 from z2lie.brackets import (
     IDENTITIES,
-    _bracket_tables,
     angle,
     associator_terms,
     generate_subalgebra,
@@ -205,16 +204,10 @@ def _named_algebra(name, rescaled_o_minus_2):
 
 
 @pytest.mark.parametrize("name", ["C-2", "O-2", "blockmat(2,1)", "O-2 rescaled", "one-off"])
-def test_bracket_tables_agree_with_elements(name, rescaled_o_minus_2):
+def test_verify_identities_agrees_with_element_loop(name, rescaled_o_minus_2):
     alg = _named_algebra(name, rescaled_o_minus_2)
-    table_angle, table_square = _bracket_tables(alg)
-    den = alg._den
     # fractional constants give a common denominator above 1
-    assert (den > 1) == (name in ("O-2 rescaled", "one-off"))
-    for i, j in product(range(alg.dim), repeat=2):
-        e_i, e_j = alg.basis(i), alg.basis(j)
-        assert divided(table_angle({i: 1}, {j: 1}), den) == angle(e_i, e_j).terms
-        assert divided(table_square({i: 1}, {j: 1}), den) == square(e_i, e_j).terms
+    assert (alg._den > 1) == (name in ("O-2 rescaled", "one-off"))
     for seed in (0, 3):
         expected = _element_loop_report(alg, trials=12, seed=seed)
         assert verify_identities(alg, trials=12, seed=seed).to_json_dict() == expected
@@ -354,39 +347,39 @@ def test_identity_report_serializes():
 
 def test_generate_subalgebra_single_even_element():
     h = catalog_algebra("H")
-    basis = generate_subalgebra([h.basis(1)])
-    assert basis.dim == 1
-    assert basis.contains(h.basis(1))
+    span = generate_subalgebra([h.basis(1)])
+    assert span.dim == 1
+    assert span.contains(h.basis(1).terms)
 
 
 def test_generate_subalgebra_full_basis():
     alg = catalog_algebra("C-2")
-    basis = generate_subalgebra([alg.basis(i) for i in range(alg.dim)])
-    assert basis.dim == alg.dim
+    span = generate_subalgebra([alg.basis(i) for i in range(alg.dim)])
+    assert span.dim == alg.dim
 
 
 def test_generate_subalgebra_block_odd_unit():
     alg = block_matrix_algebra(1, 1)
-    shape = BlockShape(1, 1)
-    odd_unit = block_matrix_element(alg, shape, [[0, 1], [0, 0]])
-    basis = generate_subalgebra([odd_unit])
-    assert basis.dim == 1
+    (odd_unit,) = alg.odd_indices
+    span = generate_subalgebra([alg.basis(odd_unit)])
+    assert span.dim == 1
 
 
 def test_generate_subalgebra_closure_and_idempotence():
     alg = catalog_algebra("H2")
     rng = random.Random(2)
     seeds = [random_element(alg, rng) for _ in range(2)]
-    basis = generate_subalgebra(seeds)
+    span = generate_subalgebra(seeds)
     for s in seeds:
-        assert basis.contains(s)
-    for a in basis.vectors:
-        for b in basis.vectors:
-            assert basis.contains(angle(a, b))
-            assert basis.contains(square(a, b))
-    again = generate_subalgebra(list(basis.vectors))
-    assert again.dim == basis.dim
-    assert [v.coeffs for v in again.vectors] == [v.coeffs for v in basis.vectors]
+        assert span.contains(s.terms)
+    vectors = [Element._from_terms(alg, row) for row in span.rows()]
+    for a in vectors:
+        for b in vectors:
+            assert span.contains(angle(a, b).terms)
+            assert span.contains(square(a, b).terms)
+    again = generate_subalgebra(vectors)
+    assert again.dim == span.dim
+    assert again.rows() == span.rows()
 
 
 def _closure_by_elements(seeds):
@@ -427,10 +420,10 @@ def test_generate_subalgebra_matches_element_closure(name, seeds):
     seeds = [Element._from_terms(alg, terms) for terms in seeds]
     expected, rounds = _closure_by_elements(seeds)
     assert rounds > 1 and expected.dim < alg.dim
-    basis = generate_subalgebra(seeds)
-    assert basis.dim == expected.dim
-    assert all(basis.contains(Element._from_terms(alg, row)) for row in expected.rows())
-    assert all(expected.contains(v.terms) for v in basis.vectors)
+    span = generate_subalgebra(seeds)
+    assert span.dim == expected.dim
+    assert all(span.contains(row) for row in expected.rows())
+    assert all(expected.contains(row) for row in span.rows())
 
 
 def test_generate_subalgebra_requires_seeds():
@@ -455,8 +448,8 @@ def test_generate_subalgebra_on_tables_matches_element_closure_at_random(alg):
             seeds.append({k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for k in keys})
         seeds = [Element._from_terms(alg, terms) for terms in seeds]
         expected, _ = _closure_by_elements(seeds)
-        basis = generate_subalgebra(seeds)
-        assert basis.dim == expected.dim
-        assert all(expected.contains(v.terms) for v in basis.vectors)
+        span = generate_subalgebra(seeds)
+        assert span.dim == expected.dim
+        assert all(expected.contains(row) for row in span.rows())
         proper += expected.dim < alg.dim
     assert proper

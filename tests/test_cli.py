@@ -353,6 +353,8 @@ def test_correspond_small_shape(tmp_path):
         ["--shape", "4,4", "--trials", "48"],
         ["--shape", "2,2", "--trials", "12"],
         ["--shape", "1,1", "--trials", "0"],
+        # MAX_BUDGET + 1: refused before the sampler allocates anything
+        ["--shape", "1,1", "--trials", "10001"],
     ],
     ids=" ".join,
 )
@@ -611,7 +613,7 @@ def test_importing_the_cli_derives_and_builds_nothing():
     )
     after_import, correspond, tensors = json.loads(child.stdout)
     assert after_import == [0, 0, False]
-    # correspond closes its generators through the bracket tables, not the tensor
+    # correspond closes its generators on the structure constants, not the tensor
     assert correspond == 0 and tensors == 0
 
 
