@@ -37,7 +37,7 @@ from random import Random
 import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, require_nonnegative_int, validate_z2
-from .brackets import generate_subalgebra
+from .brackets import _close_span
 from .linalg import FractionSpan
 from .report import VerificationReport
 
@@ -460,18 +460,24 @@ def correspondence_roundtrip(
     matches span(L): dimension never exceeds dim(L) and all principal
     angles stay within ``tol``.  The tangent span and conjugation closure
     are both taken within ``DEFAULT_SPAN_TOL``.  ``budget``, the size of the
-    group sample, must be an int above dim(L): the identity has log 0, so
-    spanning dim(L) tangent directions takes dim(L) + 1 samples.  ``seed``
+    group sample, must be an int above dim(L) and at most ``MAX_BUDGET``,
+    checked before any exact work: the identity has log 0, so spanning
+    dim(L) tangent directions takes dim(L) + 1 samples.  ``seed``
     must be a nonnegative int; the sample draws from ``seed`` and the
     closure check from ``seed + 1``.
     """
     _require_tolerance(tol)
     require_nonnegative_int("seed", seed)
+    if isinstance(budget, int) and budget > MAX_BUDGET:
+        raise ValueError(f"budget must be at most MAX_BUDGET = {MAX_BUDGET}")
     alg = block_matrix_algebra(shape.p, shape.q)
     generators = list(generators)
     if not all(isinstance(g, Element) and g.algebra is alg for g in generators):
         raise ValueError(f"generators must be Elements of {alg.name}")
-    dim_l = _exact_rank(generators)
+    span = FractionSpan()
+    for g in generators:
+        span.add(g.terms)
+    dim_l = span.dim
     if isinstance(budget, bool) or not isinstance(budget, int) or budget <= dim_l:
         raise ValueError(f"budget must be an int greater than dim(L) = {dim_l}")
     report = VerificationReport(
@@ -479,10 +485,10 @@ def correspondence_roundtrip(
     )
     closure = report.check("bracket_closure_exact")
     if generators:
-        span_dim = generate_subalgebra(generators).dim
+        _close_span(alg, span)
         closure.record_trial()
-        if span_dim != dim_l:
-            closure.record_failure({"input_rank": dim_l, "closure_dim": span_dim})
+        if span.dim != dim_l:
+            closure.record_failure({"input_rank": dim_l, "closure_dim": span.dim})
     else:
         closure.note = "vacuous: empty basis"
 
@@ -516,13 +522,6 @@ def correspondence_roundtrip(
     closure_report = xi_closure_check(sample, trials=50, seed=seed + 1)
     report.checks.extend(closure_report.checks)
     return report
-
-
-def _exact_rank(elements):
-    span = FractionSpan()
-    for el in elements:
-        span.add(el.terms)
-    return span.dim
 
 
 # -- exact rational shadow -------------------------------------------------------

@@ -14,6 +14,7 @@ from cbh_ladder import (
     random_block,
 )
 from support import find_check
+from z2lie import blockmodel
 from z2lie.algebra import Element, is_associative
 from z2lie.bch import bracket_basis_fit, bracket_value, gen, printed_series_terms
 from z2lie.blockmodel import (
@@ -544,6 +545,17 @@ def test_sampler_refuses_a_budget_above_the_maximum():
     gens = _float_units(SHAPE11, [(0, 0)])
     with pytest.raises(ValueError, match=f"budget must be at most MAX_BUDGET = {MAX_BUDGET}"):
         sample_xi_group(SHAPE11, gens, MAX_BUDGET + 1, 0)
+
+
+def test_correspondence_refuses_a_budget_above_the_maximum_before_exact_work(monkeypatch):
+    # neither the rank of the generators nor their bracket closure is computed
+    def exact_work(*args):
+        raise AssertionError("exact work done before the budget was checked")
+
+    monkeypatch.setattr(blockmodel, "FractionSpan", exact_work)
+    monkeypatch.setattr(blockmodel, "_close_span", exact_work)
+    with pytest.raises(ValueError, match=f"budget must be at most MAX_BUDGET = {MAX_BUDGET}"):
+        correspondence_roundtrip(UNIT00, SHAPE11, budget=MAX_BUDGET + 1, seed=0)
 
 
 _PADDED_5X5 = [[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(4)]

@@ -213,6 +213,66 @@ def test_verify_identities_agrees_with_element_loop(name, rescaled_o_minus_2):
         assert verify_identities(alg, trials=12, seed=seed).to_json_dict() == expected
 
 
+def _random_phase_products(alg, monkeypatch, trials):
+    """``Element`` products of ``verify_identities(alg, trials)`` beyond its basis phase."""
+    products = 0
+    multiply = Element.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    verify_identities(alg, trials=0)
+    basis_phase, products = products, 0
+    verify_identities(alg, trials=trials)
+    return products - basis_phase
+
+
+@pytest.mark.parametrize("name", ["O2", "O-2", "C-2"])
+def test_a_random_trial_computes_each_bracket_once(name, monkeypatch):
+    # the seven identities make 35 brackets of 2 products each, 25 of them distinct
+    assert _random_phase_products(catalog_algebra(name), monkeypatch, trials=20) == 50 * 20
+
+
+def _faulty_shared_brackets(key_of):
+    """``brackets._shared_brackets`` with the memo key ``key_of(bracket, a, b)``."""
+
+    def shared_brackets():
+        memo = {}
+
+        def shared(bracket):
+            def evaluate(a, b):
+                key = key_of(bracket, a, b)
+                if key not in memo:
+                    memo[key] = (a, b, bracket(a, b))
+                return memo[key][2]
+
+            return evaluate
+
+        return shared(angle), shared(square)
+
+    return shared_brackets
+
+
+@pytest.mark.parametrize(
+    "key_of",
+    [
+        lambda bracket, a, b: (id(a), id(b)),
+        lambda bracket, a, b: (bracket, frozenset((id(a), id(b)))),
+    ],
+    ids=["without the bracket", "without the order"],
+)
+@pytest.mark.parametrize("name", ["O-2", "C-2"])
+def test_a_memo_that_confuses_brackets_disagrees_with_the_element_loop(name, key_of, monkeypatch):
+    # negative control for the agreement test above: the random phase sees the memo
+    monkeypatch.setattr(brackets, "_shared_brackets", _faulty_shared_brackets(key_of))
+    alg = catalog_algebra(name)
+    expected = _element_loop_report(alg, trials=12, seed=0)
+    assert verify_identities(alg, trials=12, seed=0).to_json_dict() != expected
+
+
 def test_associator_term_counts_are_pinned():
     counts = {identity[0]: len(associator_terms(identity)) for identity in IDENTITIES}
     assert counts == {
