@@ -20,14 +20,14 @@ computes once.  The central computation is
 where E0(v) is the even part of exp(v0 + v1); with u = w = 0 this reduces
 to the classical Campbell-Baker-Hausdorff series of x and y.  The module
 also evaluates angle/square bracket expressions (one evaluator for word
-series and block matrices alike), re-fits the computed series onto
-bracket monomials (Lyndon words over angle-wrapped letters), and diffs
-it against a hard-coded reference listing of the printed low-degree
-terms, reporting rather than repairing any mismatch.  The fit is solved
-on the even words and checked on every word through the lift x0 -> x0 +
-x1, y0 -> y0 + y1: so it also confirms that the odd words of z are the
-first-order lift of its even words, and that no u1 or w1 occurs, since
-E0(u) = exp(u0).
+series and any operand with ``*``, ``-`` and ``even_part()``), re-fits the
+computed series onto bracket monomials (Lyndon words over angle-wrapped
+letters), and diffs it against a hard-coded reference listing of the
+printed low-degree terms, reporting rather than repairing any mismatch.
+The fit is solved on the even words and checked on every word through the
+lift x0 -> x0 + x1, y0 -> y0 + y1: so it also confirms that the odd words
+of z are the first-order lift of its even words, and that no u1 or w1
+occurs, since E0(u) = exp(u0).
 """
 
 from __future__ import annotations
@@ -409,7 +409,9 @@ def bracket_value(term: BracketTerm, values):
     doubles as the memo: every subterm's value is stored in it, so terms
     evaluated against one dict share their common subterms.  Angle and
     square nodes apply :func:`brackets.angle` and :func:`brackets.square`,
-    so the values may be ``Series``, algebra ``Element``s or block matrices.
+    so the values may be ``Series``, algebra ``Element``s or any operand with
+    ``*``, ``-`` and ``even_part()``, such as the block matrices of the
+    tests' residual ladder.
     """
     if term.op != "gen" and term not in values:
         bracket = angle if term.op == "angle" else square

@@ -12,18 +12,16 @@ and tangent-space recovery, against the exact rational shadow
 residual ladder of the extended series on block matrices, which no
 command runs, lives with the tests in ``tests/cbh_ladder.py``.
 
-A :class:`BlockMatElement`, the operand of ``mat_exp``/``mat_log``, takes
-the protocol of ``Element`` and ``Series`` (``*``, ``even_part()``,
-``odd_part()``), so the brackets apply to it unchanged.  A generator set,
-a xi-group sample and a tangent basis are each one (k, n, n) float stack;
-the sample is drawn in rounds, each one stacked matmul or
-:func:`exp_stack` call per kind of candidate.  Every random draw comes
-from a ``random.Random(seed)`` stream, the generator of the rest of the
-package, so numpy's own random module is never loaded.
+A generator set, a xi-group sample and a tangent basis are each one
+(k, n, n) float stack, and :func:`mat_exp` and :func:`mat_log` take and
+return such stacks.  The sample is drawn in rounds, each one stacked
+matmul or ``mat_exp`` call per kind of candidate.  Every random draw
+comes from a ``random.Random(seed)`` stream, the generator of the rest of
+the package, so numpy's own random module is never loaded.
 
 Block structure is preserved exactly, not within tolerance: no operation
-ever writes into the lower-left block, and constructors reject matrices,
-single or stacked, with nonzero entries there.
+ever writes into the lower-left block, and every stack from outside is
+refused if it has nonzero entries there.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from random import Random
 import numpy as np
 
 from .algebra import AlgebraDef, Element, Z2Algebra, require_nonnegative_int, validate_z2
-from .brackets import _close_span
+from .brackets import generate_subalgebra
 from .linalg import FractionSpan
 from .report import VerificationReport
 
@@ -75,73 +73,24 @@ class BlockShape:
         return self.p + self.q
 
 
-def _block_matrices(shape: BlockShape, mats, ndim):
-    """Read-only float copy of one block matrix (``ndim`` 2) or a stack (3).
+def _require_finite(stack):
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+
+
+def _block_matrices(shape: BlockShape, mats):
+    """Read-only float copy of a (k, n, n) stack of block matrices.
 
     Entries must be finite and the lower-left q x p block exactly zero.
     """
     mats = np.array(mats, dtype=float)
-    if mats.ndim != ndim or mats.shape[-2:] != (shape.n, shape.n):
+    if mats.ndim != 3 or mats.shape[-2:] != (shape.n, shape.n):
         raise ValueError(f"matrix must be {shape.n} x {shape.n}")
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix entries must be finite")
+    _require_finite(mats)
     if np.any(mats[..., shape.p :, : shape.p] != 0.0):
         raise ValueError("lower-left block must be exactly zero")
     mats.flags.writeable = False
     return mats
-
-
-class BlockMatElement:
-    """Double-precision matrix with an exactly zero lower-left block."""
-
-    __slots__ = ("shape", "mat")
-
-    def __init__(self, shape: BlockShape, mat):
-        self.shape = shape
-        self.mat = _block_matrices(shape, mat, ndim=2)
-
-    @classmethod
-    def zero(cls, shape):
-        return cls(shape, np.zeros((shape.n, shape.n)))
-
-    @classmethod
-    def identity(cls, shape):
-        return cls(shape, np.eye(shape.n))
-
-    def even_part(self):
-        out = self.mat.copy()
-        out[: self.shape.p, self.shape.p :] = 0.0
-        return BlockMatElement(self.shape, out)
-
-    def odd_part(self):
-        out = np.zeros_like(self.mat)
-        out[: self.shape.p, self.shape.p :] = self.mat[: self.shape.p, self.shape.p :]
-        return BlockMatElement(self.shape, out)
-
-    def opnorm(self):
-        return float(np.linalg.norm(self.mat, 2))
-
-    def __add__(self, other):
-        self._check(other)
-        return BlockMatElement(self.shape, self.mat + other.mat)
-
-    def __sub__(self, other):
-        self._check(other)
-        return BlockMatElement(self.shape, self.mat - other.mat)
-
-    def scale(self, scalar):
-        return BlockMatElement(self.shape, float(scalar) * self.mat)
-
-    def __mul__(self, other):
-        self._check(other)
-        return BlockMatElement(self.shape, self.mat @ other.mat)
-
-    def _check(self, other):
-        if not isinstance(other, BlockMatElement) or other.shape != self.shape:
-            raise ValueError("block shapes must match")
-
-    def __repr__(self):
-        return f"BlockMatElement(p={self.shape.p}, q={self.shape.q})"
 
 
 def _even_inverses(evens, p):
@@ -152,7 +101,7 @@ def _even_inverses(evens, p):
     return out
 
 
-def exp_stack(xs):
+def mat_exp(xs):
     """Matrix exponentials of a stack ``xs`` (m, n, n) by scaling and squaring.
 
     Each member is scaled by 2^-s, with s the least count that brings its
@@ -165,7 +114,9 @@ def exp_stack(xs):
     strict as one on the operator norm, and it costs O(n^2) where the
     operator norm costs an SVD.  Powers of block upper-triangular matrices
     keep an exactly zero lower-left block, and so do the exponentials.
+    Raises ValueError for a non-finite entry.
     """
+    _require_finite(xs)
     norms = np.linalg.norm(xs, 2, axis=(1, 2))
     squarings = np.zeros(len(xs), dtype=int)
     big = norms > 0.5
@@ -191,17 +142,13 @@ def exp_stack(xs):
     return out
 
 
-def mat_exp(a: BlockMatElement) -> BlockMatElement:
-    """Matrix exponential: :func:`exp_stack` on a stack of one."""
-    return BlockMatElement(a.shape, exp_stack(a.mat[np.newaxis])[0])
-
-
-def log_stack(gs):
+def mat_log(gs):
     """Principal logarithms of a stack ``gs`` (m, n, n) by the series on g - I.
 
-    Requires the operator norm of every g - I to be below 1, checked by one
-    batched SVD; raises LogOutOfDomain otherwise, or when a series fails to
-    converge to the kernel tolerance within the term budget.
+    Raises ValueError for a non-finite entry.  Requires the operator norm
+    of every g - I to be below 1, checked by one batched SVD; raises
+    LogOutOfDomain otherwise, or when a series fails to converge to the
+    kernel tolerance within the term budget.
 
     Each member's series stops at the first term whose Frobenius norm is
     below ``EXP_SERIES_TOL``, and its sum is frozen there, so a member gets
@@ -211,6 +158,7 @@ def log_stack(gs):
     SVD.  Powers of block upper-triangular matrices keep an exactly zero
     lower-left block, and so do the logarithms.
     """
+    _require_finite(gs)
     d = gs - np.eye(gs.shape[-1])
     dnorms = np.linalg.norm(d, 2, axis=(1, 2))
     if np.any(dnorms >= 1.0):
@@ -231,16 +179,6 @@ def log_stack(gs):
     raise LogOutOfDomain("log series did not converge within the term budget")
 
 
-def mat_log(g: BlockMatElement) -> BlockMatElement:
-    """Principal matrix logarithm: :func:`log_stack` on a stack of one.
-
-    Requires the operator norm of g - I to be below 1; raises
-    LogOutOfDomain otherwise (or when the series fails to converge to the
-    kernel tolerance within the term budget).
-    """
-    return BlockMatElement(g.shape, log_stack(g.mat[np.newaxis])[0])
-
-
 # -- xi-group sampling and tangent recovery -------------------------------------
 
 
@@ -259,8 +197,8 @@ class XiGroupSample:
     """Sampled elements of the group generated by exponentials of a basis.
 
     ``generators`` (k, n, n) and ``mats`` (m >= 1, n, n) are stacks of block
-    matrices of ``shape``, each checked as :class:`BlockMatElement` checks
-    one.  Every sampled matrix must have an invertible even part and
+    matrices of ``shape`` with finite entries and an exactly zero
+    lower-left block.  Every sampled matrix must have an invertible even part and
     operator norm at most ``SAMPLE_NORM_BOUND``.
     """
 
@@ -269,8 +207,8 @@ class XiGroupSample:
     mats: np.ndarray
 
     def __post_init__(self):
-        self.generators = _block_matrices(self.shape, self.generators, ndim=3)
-        self.mats = _block_matrices(self.shape, self.mats, ndim=3)
+        self.generators = _block_matrices(self.shape, self.generators)
+        self.mats = _block_matrices(self.shape, self.mats)
         if not len(self.mats):
             raise ValueError("a sample holds at least one element")
         p, mats = self.shape.p, self.mats
@@ -285,19 +223,20 @@ class XiGroupSample:
 def sample_xi_group(shape: BlockShape, generators, budget, seed):
     """Products of small exponentials of the basis plus xi-conjugations.
 
-    ``generators`` is a (k, n, n) stack, ``budget`` an int above k and at
-    most ``MAX_BUDGET``, and ``seed`` a nonnegative int that seeds one
-    ``random.Random`` stream for every draw.  The sample starts at the
-    identity and draws at most ``20 * budget`` attempts, in rounds.  The
-    first rounds draw only fresh exponentials of random combinations of the
-    generators, until there are k of them, so a budget of dim(L) + 1 can
-    span the tangent space.  Each
-    later round draws every missing attempt at once: a fresh exponential, a
-    product of two, or a xi-conjugate of one by the even part of another,
-    both taken from earlier rounds.  A candidate is kept, in attempt order,
-    when the norm of candidate - identity is below ``SAMPLE_LOG_MARGIN``, so
-    samples stay in the identity component and inside the log domain.  With
-    k = 0 the group is trivial and the sample is the identity alone.
+    ``generators`` is a (k, n, n) stack of block matrices, refused as
+    :class:`XiGroupSample` refuses one before anything is drawn; ``budget``
+    is an int above k and at most ``MAX_BUDGET``, and ``seed`` a
+    nonnegative int that seeds one ``random.Random`` stream for every draw.
+    The sample starts at the identity and draws at most ``20 * budget``
+    attempts, in rounds.  The first rounds draw only fresh exponentials of
+    random combinations of the generators, until there are k of them, so a
+    budget of dim(L) + 1 can span the tangent space.  Each later round
+    draws every missing attempt at once: a fresh exponential, a product of
+    two, or a xi-conjugate of one by the even part of another, both taken
+    from earlier rounds.  A candidate is kept, in attempt order, when the
+    norm of candidate - identity is below ``SAMPLE_LOG_MARGIN``, so samples
+    stay in the identity component and inside the log domain.  With k = 0
+    the group is trivial and the sample is the identity alone.
 
     Draw order: a round of ``count`` fresh exponentials draws ``count * k``
     values ``u = rng.random()`` in row-major order, each coefficient
@@ -308,7 +247,7 @@ def sample_xi_group(shape: BlockShape, generators, budget, seed):
     """
     require_nonnegative_int("seed", seed)
     rng = Random(seed)
-    generators = np.asarray(generators, dtype=float)
+    generators = _block_matrices(shape, generators)
     p, n, k = shape.p, shape.n, len(generators)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget <= k:
         raise ValueError(f"budget must be an int greater than len(generators) = {k}")
@@ -323,7 +262,7 @@ def sample_xi_group(shape: BlockShape, generators, budget, seed):
     def fresh(count):
         u = np.array([rng.random() for _ in range(count * k)]).reshape(count, k)
         coeffs = (2.0 * u - 1.0) * SAMPLE_STEP
-        return exp_stack((coeffs @ flat).reshape(count, n, n))
+        return mat_exp((coeffs @ flat).reshape(count, n, n))
 
     def draw(target, candidates_of):
         # rounds of the missing attempts until ``target`` are kept or the cap is hit
@@ -369,7 +308,7 @@ def tangent_basis(sample: XiGroupSample, tol=DEFAULT_SPAN_TOL):
     """
     _require_tolerance(tol)
     n, p = sample.shape.n, sample.shape.p
-    logs = log_stack(sample.mats)
+    logs = mat_log(sample.mats)
     _, s, vt = np.linalg.svd(logs.reshape(len(logs), -1), full_matrices=False)
     basis = vt[s > tol].reshape(-1, n, n)
     if np.abs(basis[:, p:, :p]).max(initial=0.0) > 1e-9:
@@ -431,7 +370,7 @@ def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, se
     conj = evens[i] @ mats[j] @ _even_inverses(evens, shape.p)[i]
     in_domain = np.linalg.norm(conj - np.eye(shape.n), 2, axis=(1, 2)) < 1.0
     skipped = trials - int(in_domain.sum())
-    vecs = log_stack(conj[in_domain]).reshape(-1, shape.n * shape.n)
+    vecs = mat_log(conj[in_domain]).reshape(-1, shape.n * shape.n)
     vecs = vecs - (vecs @ q) @ q.T
     residuals = np.linalg.norm(vecs, axis=1)
     for pair, residual in zip(pairs[in_domain].tolist(), residuals.tolist()):
@@ -485,7 +424,7 @@ def correspondence_roundtrip(
     )
     closure = report.check("bracket_closure_exact")
     if generators:
-        _close_span(alg, span)
+        generate_subalgebra(alg, span)
         closure.record_trial()
         if span.dim != dim_l:
             closure.record_failure({"input_rank": dim_l, "closure_dim": span.dim})

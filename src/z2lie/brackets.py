@@ -40,7 +40,7 @@ from itertools import product
 from .algebra import (
     Element, Z2Algebra, associator_tensor, random_element, require_nonnegative_int
 )
-from .linalg import ExactVector, FractionSpan, bilinear, divided, vec_add
+from .linalg import ExactVector, bilinear, divided, vec_add
 from .report import VerificationReport, element_witness
 
 
@@ -256,28 +256,11 @@ def verify_identities(alg: Z2Algebra, trials=200, seed=0) -> VerificationReport:
     return report
 
 
-def generate_subalgebra(seed_vectors) -> FractionSpan:
-    """Smallest subspace containing the seeds and closed under both brackets.
-
-    Returns its echelon ``FractionSpan``, grown by :func:`_close_span`.
-    """
-    seed_vectors = list(seed_vectors)
-    if not seed_vectors:
-        raise ValueError("need at least one seed vector")
-    alg = seed_vectors[0].algebra
-    for v in seed_vectors:
-        if v.algebra is not alg:
-            raise ValueError("seed vectors must share one algebra")
-    span = FractionSpan()
-    for v in seed_vectors:
-        span.add(v.terms)
-    _close_span(alg, span)
-    return span
-
-
-def _close_span(alg, span):
+def generate_subalgebra(alg, span):
     """Grow ``span``, a ``FractionSpan`` in ``alg``, in place until closed under both brackets.
 
+    Returns ``span``, now the echelon form of the smallest subspace that
+    contains what it held and is closed under ``angle`` and ``square``.
     Round by round until no bracket adds to it, a round brackets the span's
     integer echelon rows, in pivot order, with two ``bilinear`` calls on
     ``Z2Algebra._rows`` each: ``angle(a, b) = a b0 - b0 a`` (``b0`` the even
@@ -297,3 +280,4 @@ def _close_span(alg, span):
                     new = vec_add(bilinear(rows, a, c), bilinear(rows, c, a), -1)
                     if new and span.add(new):
                         changed = True
+    return span

@@ -14,22 +14,71 @@ from math import isfinite
 import numpy as np
 
 from z2lie.bch import SYMBOLS, bracket_basis_fit, bracket_value, gen
-from z2lie.blockmodel import BlockMatElement, BlockShape, _even_inverses, mat_exp, mat_log
+from z2lie.blockmodel import BlockShape, _even_inverses, mat_exp, mat_log
 
 LADDER_NORMS = (0.2, 0.1, 0.05, 0.025)
 
 
-def even_inverse(el: BlockMatElement) -> BlockMatElement:
+class BlockMat:
+    """One float block matrix, with what the brackets and the ladder use of it."""
+
+    def __init__(self, shape: BlockShape, mat):
+        self.shape = shape
+        self.mat = np.array(mat, dtype=float)
+
+    @classmethod
+    def zero(cls, shape):
+        return cls(shape, np.zeros((shape.n, shape.n)))
+
+    @classmethod
+    def identity(cls, shape):
+        return cls(shape, np.eye(shape.n))
+
+    def even_part(self):
+        out = self.mat.copy()
+        out[: self.shape.p, self.shape.p :] = 0.0
+        return BlockMat(self.shape, out)
+
+    def odd_part(self):
+        return self - self.even_part()
+
+    def opnorm(self):
+        return float(np.linalg.norm(self.mat, 2))
+
+    def __add__(self, other):
+        return BlockMat(self.shape, self.mat + other.mat)
+
+    def __sub__(self, other):
+        return BlockMat(self.shape, self.mat - other.mat)
+
+    def scale(self, scalar):
+        return BlockMat(self.shape, float(scalar) * self.mat)
+
+    def __mul__(self, other):
+        return BlockMat(self.shape, self.mat @ other.mat)
+
+
+def block_exp(a: BlockMat) -> BlockMat:
+    """The exponential of one block matrix: ``mat_exp`` on a stack of one."""
+    return BlockMat(a.shape, mat_exp(a.mat[np.newaxis])[0])
+
+
+def block_log(g: BlockMat) -> BlockMat:
+    """The principal logarithm of one block matrix: ``mat_log`` on a stack of one."""
+    return BlockMat(g.shape, mat_log(g.mat[np.newaxis])[0])
+
+
+def even_inverse(el: BlockMat) -> BlockMat:
     """Inverse of a purely even element, block by block (structure exact)."""
     p = el.shape.p
     if np.any(el.mat[:p, p:] != 0.0):
         raise ValueError("even_inverse expects a purely even element")
-    return BlockMatElement(el.shape, _even_inverses(el.mat, p))
+    return BlockMat(el.shape, _even_inverses(el.mat, p))
 
 
 def _group_product(x, y, u, w):
-    e0u, e0w = mat_exp(u).even_part(), mat_exp(w).even_part()
-    return e0u * mat_exp(x) * even_inverse(e0u) * e0w * mat_exp(y) * even_inverse(e0w)
+    e0u, e0w = block_exp(u).even_part(), block_exp(w).even_part()
+    return e0u * block_exp(x) * even_inverse(e0u) * e0w * block_exp(y) * even_inverse(e0w)
 
 
 def _bracket_series(x, y, u, w, degree):
@@ -44,7 +93,7 @@ def _bracket_series(x, y, u, w, degree):
         if el.opnorm() > 0.2 + 1e-12:
             raise ValueError("inputs must have operator norm at most 0.2")
     values = {gen(s): el for s, el in zip(SYMBOLS, (x, y, u, w))}
-    z = BlockMatElement.zero(x.shape)
+    z = BlockMat.zero(x.shape)
     for term, coeff in bracket_basis_fit(degree):
         z = z + bracket_value(term, values).scale(coeff)
     return z
@@ -58,13 +107,13 @@ def bch_residual(x, y, u, w, degree: int) -> float:
     E0(exp u) exp(x) E0(exp u)^-1 E0(exp w) exp(y) E0(exp w)^-1.
     """
     z = _bracket_series(x, y, u, w, degree)
-    return (_group_product(x, y, u, w) - mat_exp(z)).opnorm()
+    return (_group_product(x, y, u, w) - block_exp(z)).opnorm()
 
 
 def bch_log_residual(x, y, u, w, degree: int) -> float:
-    """Distance in log coordinates: series value vs direct mat_log of the product."""
+    """Distance in log coordinates: series value vs the direct log of the product."""
     z = _bracket_series(x, y, u, w, degree)
-    return (z - mat_log(_group_product(x, y, u, w))).opnorm()
+    return (z - block_log(_group_product(x, y, u, w))).opnorm()
 
 
 def fit_convergence(norms, residuals):
@@ -96,7 +145,7 @@ def random_block(shape, rng, norm=0.1):
     current = np.linalg.norm(mat, 2)
     if current > 0:
         mat *= norm / current
-    return BlockMatElement(shape, mat)
+    return BlockMat(shape, mat)
 
 
 def ladder_inputs(norm):

@@ -6,8 +6,11 @@ import scipy.linalg
 
 import cbh_ladder
 from cbh_ladder import (
+    BlockMat,
     bch_log_residual,
     bch_residual,
+    block_exp,
+    block_log,
     even_inverse,
     fit_convergence,
     ladder,
@@ -18,7 +21,6 @@ from z2lie import blockmodel
 from z2lie.algebra import Element, is_associative
 from z2lie.bch import bracket_basis_fit, bracket_value, gen, printed_series_terms
 from z2lie.blockmodel import (
-    BlockMatElement,
     BlockShape,
     MAX_BUDGET,
     SAMPLE_LOG_MARGIN,
@@ -27,8 +29,6 @@ from z2lie.blockmodel import (
     block_matrix_algebra,
     block_matrix_units,
     correspondence_roundtrip,
-    exp_stack,
-    log_stack,
     mat_exp,
     mat_log,
     principal_angles,
@@ -59,19 +59,15 @@ def matrix_to_element(shape, matrix):
 UNIT00 = [block_matrix_algebra(1, 1).basis(0)]
 
 
-def test_lower_left_block_rejected():
-    bad = np.zeros((4, 4))
-    bad[3, 0] = 1e-30
-    with pytest.raises(ValueError):
-        BlockMatElement(SHAPE22, bad)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_rejected(value):
-    bad = np.eye(4)
-    bad[0, 3] = value
-    with pytest.raises(ValueError, match="finite"):
-        BlockMatElement(SHAPE22, bad)
+    # refused first: the SVD of the norms fails on a NaN, and an infinite
+    # g - I runs the whole log series before LogOutOfDomain
+    bad = np.eye(4)[np.newaxis]
+    bad[0, 0, 3] = value
+    for kernel in (mat_exp, mat_log):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            kernel(bad)
 
 
 def test_parity_projections():
@@ -84,35 +80,35 @@ def test_parity_projections():
 
 
 def test_mat_exp_identity_and_odd():
-    assert np.array_equal(mat_exp(BlockMatElement.zero(SHAPE22)).mat, np.eye(4))
+    assert np.array_equal(block_exp(BlockMat.zero(SHAPE22)).mat, np.eye(4))
     rng = np.random.default_rng(1)
     odd = random_block(SHAPE22, rng, norm=0.4).odd_part()
-    expected = BlockMatElement.identity(SHAPE22) + odd
-    assert np.array_equal(mat_exp(odd).mat, expected.mat)
+    expected = BlockMat.identity(SHAPE22) + odd
+    assert np.array_equal(block_exp(odd).mat, expected.mat)
 
 
 def test_exp_log_roundtrip():
     rng = np.random.default_rng(2)
     for _ in range(10):
         a = random_block(SHAPE22, rng, norm=0.1)
-        assert (mat_log(mat_exp(a)) - a).opnorm() <= 1e-10
+        assert (block_log(block_exp(a)) - a).opnorm() <= 1e-10
 
 
 def test_exp_log_against_scipy():
     rng = np.random.default_rng(3)
     for norm in (0.05, 0.3, 2.5):
         a = random_block(SHAPE22, rng, norm=norm)
-        assert np.allclose(mat_exp(a).mat, scipy.linalg.expm(a.mat), atol=1e-12)
-    g = mat_exp(random_block(SHAPE22, rng, norm=0.4))
-    assert np.allclose(mat_log(g).mat, scipy.linalg.logm(g.mat), atol=1e-10)
+        assert np.allclose(block_exp(a).mat, scipy.linalg.expm(a.mat), atol=1e-12)
+    g = block_exp(random_block(SHAPE22, rng, norm=0.4))
+    assert np.allclose(block_log(g).mat, scipy.linalg.logm(g.mat), atol=1e-10)
     # at the sampler's margin, where the logs are hardest: the Frobenius
     # stop of both series is not early
     for _ in range(5):
-        g = BlockMatElement.identity(SHAPE22) + random_block(SHAPE22, rng, norm=0.59)
-        log = mat_log(g)
+        g = BlockMat.identity(SHAPE22) + random_block(SHAPE22, rng, norm=0.59)
+        log = block_log(g)
         assert np.allclose(log.mat, scipy.linalg.logm(g.mat), rtol=0, atol=1e-10)
-        assert np.allclose(mat_exp(log).mat, scipy.linalg.expm(log.mat), rtol=0, atol=1e-10)
-        assert np.allclose(mat_exp(log).mat, g.mat, rtol=0, atol=1e-10)
+        assert np.allclose(block_exp(log).mat, scipy.linalg.expm(log.mat), rtol=0, atol=1e-10)
+        assert np.allclose(block_exp(log).mat, g.mat, rtol=0, atol=1e-10)
 
 
 def test_exp_stack_members_match_mat_exp_and_scipy():
@@ -120,15 +116,15 @@ def test_exp_stack_members_match_mat_exp_and_scipy():
     rng = np.random.default_rng(15)
     norms = (0.0, 0.3, 0.8, 1.6, 3.5, 9.0)
     stack = np.stack([random_block(SHAPE22, rng, norm=t).mat for t in norms])
-    exps = exp_stack(stack)
+    exps = mat_exp(stack)
     assert np.array_equal(exps[0], np.eye(4))
     for x, e in zip(stack, exps):
         assert np.all(e[2:, :2] == 0.0)
         # each member gets exactly the terms and squarings it gets alone
-        assert np.array_equal(e, mat_exp(BlockMatElement(SHAPE22, x)).mat)
+        assert np.array_equal(e, mat_exp(x[np.newaxis])[0])
         expected = scipy.linalg.expm(x)
         assert np.abs(e - expected).max() <= 1e-13 * np.abs(expected).max()
-    assert exp_stack(stack[:0]).shape == (0, 4, 4)
+    assert mat_exp(stack[:0]).shape == (0, 4, 4)
 
 
 def _spectral_stop_log(mat):
@@ -148,34 +144,33 @@ def test_log_stack_members_match_single_logs():
     rng = np.random.default_rng(12)
     norms = (1e-3, 0.05, 0.3, 0.59, 0.0, 0.2)
     stack = np.stack([np.eye(4) + random_block(SHAPE22, rng, norm=t).mat for t in norms])
-    logs = log_stack(stack)
+    logs = mat_log(stack)
     for g, log in zip(stack, logs):
         assert np.all(log[2:, :2] == 0.0)
-        alone = mat_log(BlockMatElement(SHAPE22, g)).mat
+        alone = mat_log(g[np.newaxis])[0]
         assert np.abs(log - alone).max() <= 1e-15
         assert np.abs(log - _spectral_stop_log(g)).max() <= 1e-14
-    assert log_stack(stack[:0]).shape == (0, 4, 4)
+    assert mat_log(stack[:0]).shape == (0, 4, 4)
 
 
 def test_log_stack_out_of_domain_member_raises():
     rng = np.random.default_rng(13)
-    stack = np.stack([mat_exp(random_block(SHAPE22, rng, norm=0.1)).mat for _ in range(3)])
+    stack = np.stack([block_exp(random_block(SHAPE22, rng, norm=0.1)).mat for _ in range(3)])
     stack[1] = 3.0 * np.eye(4)
     with pytest.raises(LogOutOfDomain):
-        log_stack(stack)
+        mat_log(stack)
 
 
 def test_log_domain_enforced():
-    g = BlockMatElement(SHAPE22, 3.0 * np.eye(4))
     with pytest.raises(LogOutOfDomain):
-        mat_log(g)
+        mat_log(3.0 * np.eye(4)[np.newaxis])
 
 
 def test_block_structure_preserved_exactly():
     rng = np.random.default_rng(4)
     a = random_block(SHAPE22, rng, norm=0.3)
     b = random_block(SHAPE22, rng, norm=0.3)
-    for el in (a * b, mat_exp(a), mat_log(mat_exp(b)), a + b, a.scale(0.7)):
+    for el in (a * b, block_exp(a), block_log(block_exp(b)), a + b, a.scale(0.7)):
         assert np.all(el.mat[2:, :2] == 0.0)
 
 
@@ -189,14 +184,14 @@ def test_even_part_multiplicative():
 def test_exp_even_part_commutes():
     rng = np.random.default_rng(6)
     a = random_block(SHAPE22, rng, norm=0.7)
-    lhs = mat_exp(a).even_part().mat
-    rhs = mat_exp(a.even_part()).mat
+    lhs = block_exp(a).even_part().mat
+    rhs = block_exp(a.even_part()).mat
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_even_inverse_structure():
     rng = np.random.default_rng(7)
-    g = mat_exp(random_block(SHAPE22, rng, norm=0.5)).even_part()
+    g = block_exp(random_block(SHAPE22, rng, norm=0.5)).even_part()
     inv = even_inverse(g)
     assert np.allclose((g * inv).mat, np.eye(4), atol=1e-12)
     assert np.all(inv.mat[:2, 2:] == 0.0)
@@ -212,7 +207,7 @@ def test_evaluate_series_degree_one():
     rng = np.random.default_rng(8)
     x, y, u, w = (random_block(SHAPE22, rng, norm=0.1) for _ in range(4))
     values = _values(x, y, u, w)
-    z = BlockMatElement.zero(SHAPE22)
+    z = BlockMat.zero(SHAPE22)
     for term, coeff in bracket_basis_fit(1):
         z = z + bracket_value(term, values).scale(coeff)
     assert np.allclose(z.mat, (x + y).mat, atol=1e-15)
@@ -226,7 +221,7 @@ def test_bracket_value_agrees_on_exact_shadow():
     for m in mats:
         m[2:, :2] = 0
     exact = _values(*(matrix_to_element(SHAPE22, m.tolist()) for m in mats))
-    floats = _values(*(BlockMatElement(SHAPE22, m) for m in mats))
+    floats = _values(*(BlockMat(SHAPE22, m) for m in mats))
     for term, _ in bracket_basis_fit(3):
         expected = np.array(element_to_matrix(bracket_value(term, exact), SHAPE22), dtype=float)
         assert np.array_equal(bracket_value(term, floats).mat, expected), str(term)
@@ -234,16 +229,16 @@ def test_bracket_value_agrees_on_exact_shadow():
 
 def test_bch_residual_commuting_even_case():
     # commuting even x, y with u = w = 0: z = x + y exactly at degree 1
-    x = BlockMatElement(SHAPE22, np.diag([0.1, 0.05, -0.02, 0.08]))
-    y = BlockMatElement(SHAPE22, np.diag([-0.03, 0.06, 0.11, -0.01]))
-    zero = BlockMatElement.zero(SHAPE22)
+    x = BlockMat(SHAPE22, np.diag([0.1, 0.05, -0.02, 0.08]))
+    y = BlockMat(SHAPE22, np.diag([-0.03, 0.06, 0.11, -0.01]))
+    zero = BlockMat.zero(SHAPE22)
     assert bch_residual(x, y, zero, zero, 1) <= 1e-12
 
 
 def test_bch_residual_norm_precondition():
     rng = np.random.default_rng(9)
     big = random_block(SHAPE22, rng, norm=0.5)
-    zero = BlockMatElement.zero(SHAPE22)
+    zero = BlockMat.zero(SHAPE22)
     for residual in (bch_residual, bch_log_residual):
         with pytest.raises(ValueError, match="norm"):
             residual(big, zero, zero, zero, 2)
@@ -330,7 +325,7 @@ def test_tangent_basis_identity_only():
 def test_tangent_basis_one_parameter_curve():
     rng = np.random.default_rng(10)
     v = random_block(SHAPE22, rng, norm=1.0)
-    mats = np.stack([mat_exp(v.scale(t)).mat for t in (0.02, 0.05, 0.08, 0.11)])
+    mats = mat_exp(np.stack([t * v.mat for t in (0.02, 0.05, 0.08, 0.11)]))
     sample = XiGroupSample(SHAPE22, v.mat[np.newaxis], mats)
     basis = tangent_basis(sample)
     assert basis.shape == (1, 4, 4)
@@ -376,19 +371,31 @@ def _with_entry(r, c, value):
     ],
     ids=["nan", "inf", "lower-left", "norm-bound", "singular-even"],
 )
-def test_xi_group_sample_invariants(mat, message):
-    # the sample stack is checked as a whole, each entry as a BlockMatElement
-    # would check it, and a malformed generator stack is refused the same way
+def test_xi_group_sample_invariants(mat, message, monkeypatch):
+    # the sample stack is checked as a whole, and a malformed generator
+    # stack is refused the same way, by the sampler before any draw: a NaN
+    # would fail in numpy's SVD, and a lower-left entry would be drawn from
     with pytest.raises(ValueError, match=message):
         XiGroupSample(SHAPE22, np.zeros((0, 4, 4)), np.stack([np.eye(4), mat]))
     if message in ("finite", "lower-left"):
         with pytest.raises(ValueError, match=message):
             XiGroupSample(SHAPE22, mat[np.newaxis], np.eye(4)[np.newaxis])
+        monkeypatch.setattr(blockmodel, "mat_exp", _no_draw)
+        with pytest.raises(ValueError, match=message):
+            sample_xi_group(SHAPE22, mat[np.newaxis], 5, 0)
 
 
-def test_xi_group_sample_shapes_checked():
+def _no_draw(xs):
+    raise AssertionError("an exponential was drawn before the generators were checked")
+
+
+def test_xi_group_sample_shapes_checked(monkeypatch):
     with pytest.raises(ValueError, match="4 x 4"):
         XiGroupSample(SHAPE22, np.zeros((0, 4, 4)), np.eye(4))
+    # the sampler checks the size before it reshapes the generators
+    monkeypatch.setattr(blockmodel, "mat_exp", _no_draw)
+    with pytest.raises(ValueError, match="4 x 4"):
+        sample_xi_group(SHAPE22, np.zeros((1, 3, 3)), 5, 0)
     with pytest.raises(ValueError, match="4 x 4"):
         XiGroupSample(SHAPE22, np.zeros((0, 2, 2)), np.eye(4)[np.newaxis])
     with pytest.raises(ValueError, match="at least one"):
@@ -450,7 +457,7 @@ def _off_span_sample():
     """Random group elements against the even generators: most conjugates leave span(L)."""
     rng = np.random.default_rng(11)
     norms = (0.3, 0.5, 0.6, 0.7, 0.8, 0.9)
-    mats = [np.eye(4)] + [mat_exp(random_block(SHAPE22, rng, norm=t)).mat for t in norms]
+    mats = [np.eye(4)] + [block_exp(random_block(SHAPE22, rng, norm=t)).mat for t in norms]
     units = block_matrix_units(2, 2)
     even_units = [rc for rc in units if (rc[0] < 2) == (rc[1] < 2)]
     return XiGroupSample(SHAPE22, _float_units(SHAPE22, even_units), np.stack(mats))
@@ -553,7 +560,7 @@ def test_correspondence_refuses_a_budget_above_the_maximum_before_exact_work(mon
         raise AssertionError("exact work done before the budget was checked")
 
     monkeypatch.setattr(blockmodel, "FractionSpan", exact_work)
-    monkeypatch.setattr(blockmodel, "_close_span", exact_work)
+    monkeypatch.setattr(blockmodel, "generate_subalgebra", exact_work)
     with pytest.raises(ValueError, match=f"budget must be at most MAX_BUDGET = {MAX_BUDGET}"):
         correspondence_roundtrip(UNIT00, SHAPE11, budget=MAX_BUDGET + 1, seed=0)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import z2lie
+from z2lie import blockmodel
 from z2lie.algebra import load_algebra, validate_z2
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
 from z2lie.cli import main
@@ -424,6 +425,20 @@ def test_correspond_resolves_angles_below_the_arccos_floor(tmp_path):
     code, text = run(tmp_path, "correspond", "--shape", "2,2", "--trials", "40", "--tol", "1e-9")
     assert code == 0
     assert json.loads(text)["passed"] is True
+
+
+def test_correspond_runs_through_the_probed_kernels(tmp_path, monkeypatch):
+    # perfbench/traced.py times these three by name: a refactor that routes
+    # around them would leave their per-layer metrics reading 0
+    argv = ["correspond", "--shape", "2,2", "--trials", "40"]
+    plain = run(tmp_path, *argv)
+    calls = []
+    for name in ("mat_exp", "mat_log", "generate_subalgebra"):
+        func = getattr(blockmodel, name)
+        counted = lambda *args, _f=func, _name=name: calls.append(_name) or _f(*args)
+        monkeypatch.setattr(blockmodel, name, counted)
+    assert run(tmp_path, *argv) == plain and plain[0] == 0
+    assert set(calls) == {"mat_exp", "mat_log", "generate_subalgebra"}
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

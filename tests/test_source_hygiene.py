@@ -92,15 +92,6 @@ def test_every_private_name_is_referenced():
     assert not dead
 
 
-# public names no package module reads, kept because the perfbench tracer
-# probes them by name
-_READ_OUTSIDE_THE_PACKAGE = {
-    "blockmodel.py: mat_exp",
-    "blockmodel.py: mat_log",
-    "brackets.py: generate_subalgebra",
-}
-
-
 def test_every_public_name_is_read_by_the_package():
     used = set().union(*map(_loaded_names, _SOURCES.values()))
     unread = {
@@ -109,4 +100,4 @@ def test_every_public_name_is_read_by_the_package():
         for name in _defined(tree.body)
         if not name.startswith("_") and name not in used
     }
-    assert unread == _READ_OUTSIDE_THE_PACKAGE
+    assert unread == set()
