@@ -24,10 +24,11 @@ series and any operand with ``*``, ``-`` and ``even_part()``), re-fits the
 computed series onto bracket monomials (Lyndon words over angle-wrapped
 letters), and diffs it against a hard-coded reference listing of the
 printed low-degree terms, reporting rather than repairing any mismatch.
-The fit is solved on the even words and checked on every word through the
-lift x0 -> x0 + x1, y0 -> y0 + y1: so it also confirms that the odd words
-of z are the first-order lift of its even words, and that no u1 or w1
-occurs, since E0(u) = exp(u0).
+Both expand bracket terms on x0, y0, u0, w0 alone and reach all eight
+letters by the lift x0 -> x0 + x1, y0 -> y0 + y1.  The fit is solved on the
+even words and checked on every word through the lift: so it also confirms
+that the odd words of z are the first-order lift of its even words, and
+that no u1 or w1 occurs, since E0(u) = exp(u0).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .brackets import angle, square
-from .linalg import ExactVector, FractionSpan, clear_denominators, divided, exact
+from .linalg import ExactVector, FractionSpan, clear_denominators, divided, exact, vec_add
 
 
 class TruncationMismatch(Exception):
@@ -59,7 +60,6 @@ class LostRank(Exception):
 
 
 GENERATOR_NAMES = ("x0", "x1", "y0", "y1", "u0", "u1", "w0", "w1")
-_LETTER = {name: i for i, name in enumerate(GENERATOR_NAMES)}
 SYMBOLS = ("x", "y", "u", "w")
 
 MAX_TRUNCATION = 8
@@ -161,10 +161,9 @@ class Series(ExactVector):
     """Truncated rational word polynomial in the eight graded generators.
 
     ``terms`` maps word codes to nonzero int or ``Fraction`` coefficients;
-    the constructor takes tuple words and :meth:`word_terms` gives them
-    back.  A Series is not mutated once built: it caches its terms cleared
-    of denominators and grouped by length and parity, the operand form of
-    a product, on first use.
+    the constructor takes tuple words.  A Series is not mutated once built:
+    it caches its terms cleared of denominators and grouped by length and
+    parity, the operand form of a product, on first use.
     """
 
     __slots__ = ("truncation", "terms", "_cleared")
@@ -206,10 +205,6 @@ class Series(ExactVector):
         return cls(truncation, {(): 1})
 
     @classmethod
-    def generator(cls, name, truncation):
-        return cls(truncation, {(_LETTER[name],): 1})
-
-    @classmethod
     def full_generator(cls, symbol, truncation):
         """x0 + x1 for symbol "x", and so on."""
         base = 2 * SYMBOLS.index(symbol)
@@ -220,10 +215,6 @@ class Series(ExactVector):
     @property
     def constant(self):
         return self.terms.get(1, Fraction(0))
-
-    def word_terms(self):
-        """The terms keyed by tuple words."""
-        return {_decode(code): c for code, c in self.terms.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -269,16 +260,6 @@ class Series(ExactVector):
         if den == 1:
             return Series._from_terms(n, terms, (product, 1))
         return Series._from_terms(n, divided(terms, den))
-
-    # -- grading -------------------------------------------------------------
-
-    def substitute_zero(self, *symbols):
-        """Set whole generators to zero, e.g. substitute_zero("u", "w")."""
-        drop = set()
-        for symbol in symbols:
-            base = 2 * SYMBOLS.index(symbol)
-            drop.update((base, base + 1))
-        return self._select(lambda code: drop.isdisjoint(_decode(code)))
 
     # -- exp / log / inverse ------------------------------------------------------
 
@@ -421,24 +402,11 @@ def bracket_value(term: BracketTerm, values):
 
 
 @lru_cache(maxsize=None)
-def _expansions(truncation, parities=(0, 1)):
-    """A :func:`bracket_value` memo at one truncation, seeded with x, y, u, w:
-    each the sum of its letters of the given parities (x0 + x1, or x0)."""
-    return {
-        gen(s): Series(truncation, {(2 * i + p,): 1 for p in parities})
-        for i, s in enumerate(SYMBOLS)
-    }
-
-
-def bracket_expand(term: BracketTerm, truncation: int) -> Series:
-    """Expand a bracket expression into word coordinates (int coefficients).
-
-    A generator is the sum of its even and odd letters: this is the direct
-    evaluator on all eight letters.  Memoised per truncation, as bracket
-    terms share subterms: the returned Series is shared and must not be
-    mutated.
-    """
-    return bracket_value(term, _expansions(truncation))
+def _expansions(truncation):
+    """A :func:`bracket_value` memo at one truncation, seeded with x, y, u, w
+    as their even letters x0, y0, u0, w0: the even expansions, integral and
+    homogeneous.  Its Series are shared and must not be mutated."""
+    return {gen(s): Series(truncation, {(2 * i,): 1}) for i, s in enumerate(SYMBOLS)}
 
 
 def _liftable(term, right=False):
@@ -452,6 +420,12 @@ def _liftable(term, right=False):
         return (term.name in ("u", "w")) == right
     inner = right or term.op == "angle"
     return _liftable(term.left, right) and _liftable(term.right, inner)
+
+
+def _require_liftable(terms):
+    for term in terms:
+        if not _liftable(term):
+            raise ValueError(f"the even expansion of {term} does not lift")
 
 
 def _lift(even):
@@ -483,7 +457,7 @@ def _fit_degree(terms, components, truncation):
     degree = terms[0].degree()
     even = components.get((degree, False), {})
     target = {**even, **components.get((degree, True), {})}
-    memo = _expansions(truncation, (0,))  # integral, homogeneous of degree d
+    memo = _expansions(truncation)
     columns = [bracket_value(term, memo).terms for term in terms]
     span = FractionSpan(track=True)
     for col in columns:
@@ -493,9 +467,7 @@ def _fit_degree(terms, components, truncation):
             f"the even words keep rank {span.dim} of the {len(columns)} "
             f"bracket terms of degree {degree}"
         )
-    for term in terms:
-        if not _liftable(term):
-            raise ValueError(f"the even expansion of {term} does not lift")
+    _require_liftable(terms)
     residual, combo = span.reduce(even)
     if residual:
         return None
@@ -552,54 +524,30 @@ def printed_series_terms():
     )
 
 
-@dataclass
-class SeriesComparison:
-    """Word-level diff between the printed listing and the computed series."""
-
-    truncation: int
-    word_diffs: list
-    duplicates: list
-    clean_degrees: list
-
-    @property
-    def exact_match(self):
-        return not self.word_diffs
-
-    def to_json_dict(self):
-        return {
-            "truncation": self.truncation,
-            "exact_match": self.exact_match,
-            "clean_degrees": self.clean_degrees,
-            "word_diffs": self.word_diffs,
-            "duplicate_terms": self.duplicates,
-        }
-
-
-def compare_printed_series(truncation: int = 3) -> SeriesComparison:
+def compare_printed_series(truncation: int) -> dict:
     """Diff the literal printed listing against the computed series.
 
     Every printed term of degree <= truncation is expanded (repeated terms
     contribute repeatedly, as printed) and the sum is compared word by
-    word with the computed series.  For each term printed more than once
-    the report also fits the computed degree component on the distinct
-    printed terms of that degree, so it can state the computed coefficient
-    next to the literal total.
+    word with the computed series; the sum is taken on the even expansions
+    and lifted once, as :func:`_fit_degree` checks its fit.  For each term
+    printed more than once the report also fits the computed degree
+    component on the distinct printed terms of that degree, so it can
+    state the computed coefficient next to the literal total.
     """
-    listing = [
-        (coeff, term)
-        for coeff, term in printed_series_terms()
-        if term.degree() <= truncation
-    ]
-    literal = sum(
-        (bracket_expand(term, truncation).scale(coeff) for coeff, term in listing),
-        start=Series(truncation),
-    )
+    listing = [(c, t) for c, t in printed_series_terms() if t.degree() <= truncation]
+    _require_liftable(term for _, term in listing)
+    memo = _expansions(truncation)
+    even = {}
+    for coeff, term in listing:
+        even = vec_add(even, bracket_value(term, memo).terms, coeff)
+    literal = _lift(even)
     computed = extended_bch(truncation)
 
     word_diffs = []
     dirty_degrees = set()
-    for w in sorted(set(literal.terms) | set(computed.terms)):
-        a = literal.terms.get(w, Fraction(0))
+    for w in sorted(set(literal) | set(computed.terms)):
+        a = literal.get(w, Fraction(0))
         b = computed.terms.get(w, Fraction(0))
         if a != b:
             degree = word_length(w)
@@ -612,9 +560,7 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
                     "computed": str(b),
                 }
             )
-    clean_degrees = [
-        d for d in range(1, truncation + 1) if d not in dirty_degrees
-    ]
+    clean_degrees = [d for d in range(1, truncation + 1) if d not in dirty_degrees]
 
     counts = Counter(term for _, term in listing)
     components = _grouped(computed.terms)
@@ -623,13 +569,8 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
         if count < 2:
             continue
         degree = term.degree()
-        listed_total = sum(
-            (c for c, t in listing if t == term), start=Fraction(0)
-        )
-        distinct = []
-        for _, t in listing:
-            if t.degree() == degree and t not in distinct:
-                distinct.append(t)
+        listed_total = sum((c for c, t in listing if t == term), start=Fraction(0))
+        distinct = list(dict.fromkeys(t for _, t in listing if t.degree() == degree))
         solution = _fit_degree(distinct, components, truncation)
         entry = {
             "form": bracket_string(term),
@@ -647,12 +588,13 @@ def compare_printed_series(truncation: int = 3) -> SeriesComparison:
             entry["computed_coefficient"] = str(solution[distinct.index(term)])
         duplicates.append(entry)
     duplicates.sort(key=lambda e: (e["degree"], e["form"]))
-    return SeriesComparison(
-        truncation=truncation,
-        word_diffs=word_diffs,
-        duplicates=duplicates,
-        clean_degrees=clean_degrees,
-    )
+    return {
+        "truncation": truncation,
+        "exact_match": not word_diffs,
+        "clean_degrees": clean_degrees,
+        "word_diffs": word_diffs,
+        "duplicate_terms": duplicates,
+    }
 
 
 # -- bracket-monomial fit -----------------------------------------------------
@@ -755,8 +697,8 @@ def bracket_basis_fit(truncation: int):
     return out
 
 
-def format_bracket_series(fit, angle_pair="<>"):
-    """Plain-text rendering of a bracket fit, grouped by degree."""
+def format_bracket_series(fit):
+    """Plain-text rendering of a bracket fit, grouped by degree, with ⟨⟩ angles."""
     by_degree = {}
     for term, coeff in fit:
         by_degree.setdefault(term.degree(), []).append((term, coeff))
@@ -766,7 +708,7 @@ def format_bracket_series(fit, angle_pair="<>"):
         for term, coeff in by_degree[degree]:
             sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff
-            body = bracket_string(term, angle_pair)
+            body = bracket_string(term, "⟨⟩")
             if mag == 1:
                 parts.append(f"{sign} {body}")
             else:

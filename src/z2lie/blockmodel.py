@@ -17,7 +17,9 @@ A generator set, a xi-group sample and a tangent basis are each one
 return such stacks.  The sample is drawn in rounds, each one stacked
 matmul or ``mat_exp`` call per kind of candidate.  Every random draw
 comes from a ``random.Random(seed)`` stream, the generator of the rest of
-the package, so numpy's own random module is never loaded.
+the package, so numpy's own random module is never loaded.  The tangent
+span and its conjugation closure are judged at the one tolerance
+``SPAN_TOL``, the closure on ``XI_CLOSURE_TRIALS`` conjugate pairs.
 
 Block structure is preserved exactly, not within tolerance: no operation
 ever writes into the lower-left block, and every stack from outside is
@@ -40,7 +42,9 @@ from .linalg import FractionSpan
 from .report import VerificationReport
 
 EXP_SERIES_TOL = 1e-14
-DEFAULT_SPAN_TOL = 1e-8
+# the tangent-span rank cutoff and closure residual bound, and the closure's pairs
+SPAN_TOL = 1e-8
+XI_CLOSURE_TRIALS = 50
 LOG_MAX_TERMS = 600
 # xi-group sampling: scale of the random exponents, the bound on the norm of
 # (sample - identity) that keeps logs in domain, and the norm bound on samples
@@ -182,11 +186,6 @@ def mat_log(gs):
 # -- xi-group sampling and tangent recovery -------------------------------------
 
 
-def _require_tolerance(tol):
-    if not (isfinite(tol) and tol >= 0):
-        raise ValueError("tolerances must be finite and nonnegative")
-
-
 def _randranges(rng, stop, count):
     """``count`` draws of ``rng.randrange(stop)``, in order, as an index array."""
     return np.array([rng.randrange(stop) for _ in range(count)], dtype=np.intp)
@@ -299,18 +298,17 @@ def _orthonormal_columns(stack):
     return q[:, np.abs(np.diag(r)) > 1e-12]
 
 
-def tangent_basis(sample: XiGroupSample, tol=DEFAULT_SPAN_TOL):
+def tangent_basis(sample: XiGroupSample):
     """Orthonormal basis (a stack) of the span of the logs of the sample.
 
-    Singular directions below ``tol`` are treated as numerical noise and
-    dropped; the returned matrices have their (noise-level) lower-left
+    Singular directions below ``SPAN_TOL`` are treated as numerical noise
+    and dropped; the returned matrices have their (noise-level) lower-left
     entries forced back to exact zero.
     """
-    _require_tolerance(tol)
     n, p = sample.shape.n, sample.shape.p
     logs = mat_log(sample.mats)
     _, s, vt = np.linalg.svd(logs.reshape(len(logs), -1), full_matrices=False)
-    basis = vt[s > tol].reshape(-1, n, n)
+    basis = vt[s > SPAN_TOL].reshape(-1, n, n)
     if np.abs(basis[:, p:, :p]).max(initial=0.0) > 1e-9:
         raise AssertionError("tangent vector leaked into the lower-left block")
     basis[:, p:, :p] = 0.0
@@ -344,38 +342,37 @@ def principal_angles(basis_a, basis_b):
     )
 
 
-def xi_closure_check(sample: XiGroupSample, trials=100, tol=DEFAULT_SPAN_TOL, seed=0):
+def xi_closure_check(sample: XiGroupSample, seed=0):
     """Conjugate sampled elements by even parts; logs must stay in span(L).
 
     Membership in the sampled group is operationalized near the identity
-    as "the log lies in the span of the generating basis within tol",
-    which is exactly what the tangent correspondence predicts locally.
-    ``seed`` is a nonnegative int; the ``trials`` pairs are ``2 * trials``
-    draws of ``randrange(len(sample.mats))`` from ``random.Random(seed)``,
-    in row-major order.
+    as "the log lies in the span of the generating basis within
+    ``SPAN_TOL``", which is exactly what the tangent correspondence
+    predicts locally.  ``seed`` is a nonnegative int; the
+    ``XI_CLOSURE_TRIALS`` pairs are ``2 * XI_CLOSURE_TRIALS`` draws of
+    ``randrange(len(sample.mats))`` from ``random.Random(seed)``, in
+    row-major order.
     """
-    _require_tolerance(tol)
     require_nonnegative_int("seed", seed)
-    require_nonnegative_int("trials", trials)
     rng = Random(seed)
     report = VerificationReport(subject="xi-closure")
-    check = report.check("xi_conjugate_log_in_span", note=f"tol={tol!r}")
+    check = report.check("xi_conjugate_log_in_span", note=f"tol={SPAN_TOL!r}")
     q = _orthonormal_columns(sample.generators)
     shape, mats = sample.shape, sample.mats
     evens = mats.copy()
     evens[:, : shape.p, shape.p :] = 0.0
     # the loop draws nothing else from rng, so every pair can be drawn first
-    pairs = _randranges(rng, len(mats), 2 * trials).reshape(trials, 2)
+    pairs = _randranges(rng, len(mats), 2 * XI_CLOSURE_TRIALS).reshape(-1, 2)
     i, j = pairs.T
     conj = evens[i] @ mats[j] @ _even_inverses(evens, shape.p)[i]
     in_domain = np.linalg.norm(conj - np.eye(shape.n), 2, axis=(1, 2)) < 1.0
-    skipped = trials - int(in_domain.sum())
+    skipped = XI_CLOSURE_TRIALS - int(in_domain.sum())
     vecs = mat_log(conj[in_domain]).reshape(-1, shape.n * shape.n)
     vecs = vecs - (vecs @ q) @ q.T
     residuals = np.linalg.norm(vecs, axis=1)
     for pair, residual in zip(pairs[in_domain].tolist(), residuals.tolist()):
         check.record_trial()
-        if residual > tol:
+        if residual > SPAN_TOL:
             check.record_failure({"pair": pair, "residual": residual})
     if skipped:
         check.note += f"; skipped {skipped} out-of-domain conjugates"
@@ -397,15 +394,17 @@ def correspondence_roundtrip(
     on them before the numeric experiment runs.  The numeric side samples
     the generated group, takes logs, and asserts that the recovered span
     matches span(L): dimension never exceeds dim(L) and all principal
-    angles stay within ``tol``.  The tangent span and conjugation closure
-    are both taken within ``DEFAULT_SPAN_TOL``.  ``budget``, the size of the
+    angles stay within ``tol``, a finite nonnegative float.  The tangent
+    span and conjugation closure are both taken within ``SPAN_TOL``, and
+    the closure draws ``XI_CLOSURE_TRIALS`` pairs.  ``budget``, the size of the
     group sample, must be an int above dim(L) and at most ``MAX_BUDGET``,
     checked before any exact work: the identity has log 0, so spanning
     dim(L) tangent directions takes dim(L) + 1 samples.  ``seed``
     must be a nonnegative int; the sample draws from ``seed`` and the
     closure check from ``seed + 1``.
     """
-    _require_tolerance(tol)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError("tolerances must be finite and nonnegative")
     require_nonnegative_int("seed", seed)
     if isinstance(budget, int) and budget > MAX_BUDGET:
         raise ValueError(f"budget must be at most MAX_BUDGET = {MAX_BUDGET}")
@@ -458,7 +457,7 @@ def correspondence_roundtrip(
         else:
             span.note += f"; max principal angle {max_angle:.3e}"
 
-    closure_report = xi_closure_check(sample, trials=50, seed=seed + 1)
+    closure_report = xi_closure_check(sample, seed=seed + 1)
     report.checks.extend(closure_report.checks)
     return report
 

@@ -114,15 +114,20 @@ def octonion_type_def(twist: int) -> AlgebraDef:
     )
 
 
-def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algebra:
-    """Restrict to the span of the given basis indices.
+def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name) -> Z2Algebra:
+    """Restrict to the span of the given basis indices, named ``name``.
 
-    The even and odd index lists must carry the stated parities, the span
-    must be closed under multiplication (otherwise NotClosed names a
-    witness product), and it must contain the unit.
+    Every index must be an int (not a bool) in ``range(alg.dim)``, else
+    ValueError names it.  The even and odd index lists must carry the
+    stated parities, the span must be closed under multiplication
+    (otherwise NotClosed names a witness product), and it must contain
+    the unit.
     """
     even_idx = list(even_idx)
     odd_idx = list(odd_idx)
+    for i in even_idx + odd_idx:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < alg.dim:
+            raise ValueError(f"index {i!r} is not a basis index of {alg.name}")
     for i in even_idx:
         if alg.parity[i] != 0:
             raise ValueError(f"index {i} is not even")
@@ -143,7 +148,7 @@ def subalgebra_restrict(alg: Z2Algebra, even_idx, odd_idx, name=None) -> Z2Algeb
         if k not in pos:
             raise NotClosed(0, 0, k)
     defn = AlgebraDef(
-        name=name or f"{alg.name}|{len(keep)}",
+        name=name,
         dim=len(keep),
         parity=tuple(alg.parity[i] for i in keep),
         structconst=triples,

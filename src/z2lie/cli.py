@@ -146,7 +146,6 @@ def cmd_bch(args):
         return _usage_error(f"degree must be in 1..{MAX_TRUNCATION}")
     series = extended_bch(args.degree)
     fit = bracket_basis_fit(args.degree)
-    comparison = compare_printed_series(min(args.degree, 4))
     counts = {}
     for code in series.terms:
         length = str(word_length(code))
@@ -162,8 +161,8 @@ def cmd_bch(args):
             for term, coeff in fit
         ],
         "word_term_counts": counts,
-        "pretty": format_bracket_series(fit, angle_pair="⟨⟩"),
-        "reference_comparison": comparison.to_json_dict(),
+        "pretty": format_bracket_series(fit),
+        "reference_comparison": compare_printed_series(min(args.degree, 4)),
     }
     if args.text:
         _emit(doc["pretty"] + "\n", args.output)

@@ -147,15 +147,11 @@ class FractionSpan:
     def dim(self):
         return len(self._rows)
 
-    def rows(self):
-        """Echelon rows in pivot order (each pivot coefficient is 1)."""
-        rows = self._rows
-        return [divided(rows[p], rows[p][p]) for p in sorted(rows)]
-
     def integer_rows(self):
-        """Echelon rows in pivot order, primitive integer vectors with a positive pivot.
+        """Echelon rows in pivot order, integer vectors with a positive pivot.
 
-        They are the span's own dicts: read them, do not mutate them.
+        A row is primitive unless the span tracks combinations, which share
+        its divisor.  They are the span's own dicts: read, do not mutate.
         """
         rows = self._rows
         return [rows[p] for p in sorted(rows)]
@@ -227,9 +223,6 @@ class FractionSpan:
         if self._track:
             self._combos[pivot] = {i: v // g for i, v in combo.items() if v}
         return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)[0]
 
 
 def solve_columns(columns, target):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch_oracle import classical_bch_words, graded_expansion, poly_exp, poly_log, poly_mul
-from support import degree_component
+from support import bracket_expand, degree_component, substitute_zero, word_terms
 from z2lie.bch import (
     MAX_TRUNCATION,
     BadConstantTerm,
@@ -26,7 +26,6 @@ from z2lie.bch import (
     _lyndon_monomials,
     angle_term,
     bracket_basis_fit,
-    bracket_expand,
     bracket_string,
     bracket_value,
     compare_printed_series,
@@ -36,6 +35,7 @@ from z2lie.bch import (
     printed_series_terms,
     square_term,
     word_length,
+    word_name,
 )
 from z2lie.linalg import FractionSpan
 
@@ -47,18 +47,14 @@ def s(n, terms):
 
 
 def test_odd_odd_words_vanish():
-    x1 = Series.generator("x1", 4)
-    y1 = Series.generator("y1", 4)
+    x1, y1, y0, u1 = (s(4, {(letter,): 1}) for letter in (X1, Y1, Y0, U1))
     assert (x1 * y1).is_zero()
-    y0 = Series.generator("y0", 4)
-    u1 = Series.generator("u1", 4)
     assert (x1 * y0 * u1).is_zero()
 
 
 def test_even_concatenation():
-    x0 = Series.generator("x0", 4)
-    y0 = Series.generator("y0", 4)
-    assert (x0 * y0).word_terms() == {(X0, Y0): Fraction(1)}
+    x0, y0 = s(4, {(X0,): 1}), s(4, {(Y0,): 1})
+    assert word_terms(x0 * y0) == {(X0, Y0): Fraction(1)}
 
 
 def test_constructor_applies_quotient_and_truncation():
@@ -69,7 +65,7 @@ def test_constructor_applies_quotient_and_truncation():
         (Y0,): Fraction(2),
     }
     out = Series(4, raw)
-    assert out.word_terms() == {(Y0,): Fraction(2)}
+    assert word_terms(out) == {(Y0,): Fraction(2)}
 
 
 def test_constructor_refuses_unknown_letters():
@@ -145,8 +141,8 @@ _WORD_SERIES = st.dictionaries(
 @given(st.integers(0, MAX_TRUNCATION), _WORD_SERIES, _WORD_SERIES)
 def test_products_match_the_tuple_word_oracle(n, a, b):
     a, b = Series(n, a), Series(n, b)
-    expected = _quotient(poly_mul(a.word_terms(), b.word_terms(), n))
-    assert (a * b).word_terms() == expected
+    expected = _quotient(poly_mul(word_terms(a), word_terms(b), n))
+    assert word_terms(a * b) == expected
 
 
 _NO_CONSTANT = st.dictionaries(
@@ -163,7 +159,7 @@ def test_exp_log_roundtrip_random(n, terms):
     # the words with two odd letters span an ideal, so it may drop them last
     series = Series(n, terms)
     exp = series.exp()
-    assert exp.word_terms() == _quotient(poly_exp(series.word_terms(), n))
+    assert word_terms(exp) == _quotient(poly_exp(word_terms(series), n))
     assert exp.log() == series
 
 
@@ -175,7 +171,7 @@ def test_log_and_inverse_match_the_oracle_at_every_truncation(n, terms):
     # short and the top-degree words of log and inverse go wrong
     one = Series.one(n)
     shifted = one + Series(n, terms)
-    assert shifted.log().word_terms() == _quotient(poly_log(shifted.word_terms(), n))
+    assert word_terms(shifted.log()) == _quotient(poly_log(word_terms(shifted), n))
     doubled = one + shifted
     assert doubled * doubled.inverse() == one
     assert doubled.inverse() * doubled == one
@@ -207,13 +203,13 @@ def test_even_part_of_exp_is_exp_of_even_part():
 def test_series_split_into_even_and_odd():
     z = extended_bch(3)
     assert z.even_part() + z.odd_part() == z
-    for word in z.odd_part().word_terms():
+    for word in word_terms(z.odd_part()):
         assert sum(l & 1 for l in word) == 1
 
 
 def test_bracket_expand_angle():
     expanded = bracket_expand(angle_term(gen("x"), gen("u")), 2)
-    assert expanded.word_terms() == {
+    assert word_terms(expanded) == {
         (X0, U0): Fraction(1),
         (X1, U0): Fraction(1),
         (U0, X0): Fraction(-1),
@@ -223,7 +219,7 @@ def test_bracket_expand_angle():
 
 def test_bracket_expand_square_even_projection():
     expanded = bracket_expand(square_term(gen("x"), gen("y")), 2).even_part()
-    assert expanded.word_terms() == {
+    assert word_terms(expanded) == {
         (X0, Y0): Fraction(1),
         (Y0, X0): Fraction(-1),
     }
@@ -233,9 +229,9 @@ def test_integer_coefficients_stay_ints_and_compare_as_fractions():
     # the fit's columns: bracket expansions are integer and stay Python ints
     for degree in range(1, 6):
         for term in _lyndon_monomials(degree):
-            assert all(type(c) is int for c in bracket_expand(term, 5).terms.values())
+            assert all(type(c) is int for c in _even_expansion(term, 5).values())
     ints = bracket_expand(square_term(gen("x"), angle_term(gen("y"), gen("w"))), 4)
-    fracs = Series(4, {w: Fraction(c) for w, c in ints.word_terms().items()})
+    fracs = Series(4, {w: Fraction(c) for w, c in word_terms(ints).items()})
     assert all(type(c) is Fraction for c in fracs.terms.values())
     assert ints == fracs and fracs == ints
     assert repr(ints) == repr(fracs)
@@ -245,7 +241,7 @@ def test_integer_coefficients_stay_ints_and_compare_as_fractions():
 
 def test_extended_bch_degree_one():
     z = extended_bch(1)
-    assert z.word_terms() == {
+    assert word_terms(z) == {
         (X0,): Fraction(1),
         (X1,): Fraction(1),
         (Y0,): Fraction(1),
@@ -272,8 +268,8 @@ def test_extended_bch_degree_three_wrapped_component():
         angle_term(angle_term(gen("x"), gen("u")), gen("u")), 3
     ).scale(Fraction(1, 2))
     symbols = lambda word: sorted(l >> 1 for l in word)
-    got = {w: c for w, c in z3.word_terms().items() if symbols(w) == [0, 2, 2]}
-    assert got == expected.word_terms()
+    got = {w: c for w, c in word_terms(z3).items() if symbols(w) == [0, 2, 2]}
+    assert got == word_terms(expected)
 
 
 def test_oracle_self_check():
@@ -294,10 +290,10 @@ def test_oracle_self_check():
 
 def test_extended_bch_reduces_to_classical_oracle():
     for n in (2, 3, 4, 5):
-        specialized = extended_bch(n).substitute_zero("u", "w")
-        assert specialized.word_terms() == graded_expansion(classical_bch_words(n), n)
+        specialized = substitute_zero(extended_bch(n), "u", "w")
+        assert word_terms(specialized) == graded_expansion(classical_bch_words(n), n)
         # and no u/w letter survives the substitution
-        for word in specialized.word_terms():
+        for word in word_terms(specialized):
             assert all(l < 4 for l in word)
 
 
@@ -310,11 +306,11 @@ def _classical_bch(truncation):
 
 def test_engine_classical_matches_conjugated_route():
     for n in (3, 5):
-        assert extended_bch(n).substitute_zero("u", "w") == _classical_bch(n)
+        assert substitute_zero(extended_bch(n), "u", "w") == _classical_bch(n)
 
 
 def test_degree_four_pure_component_is_the_printed_term():
-    z4 = degree_component(extended_bch(4).substitute_zero("u", "w"), 4)
+    z4 = degree_component(substitute_zero(extended_bch(4), "u", "w"), 4)
     term = square_term(gen("y"), square_term(gen("x"), square_term(gen("y"), gen("x"))))
     assert z4 == degree_component(bracket_expand(term, 4).scale(Fraction(1, 24)), 4)
 
@@ -369,27 +365,43 @@ def test_printed_listing_shape():
 
 def test_compare_printed_series_degrees_one_two_clean():
     comparison = compare_printed_series(2)
-    assert comparison.exact_match
-    assert comparison.clean_degrees == [1, 2]
+    assert comparison["exact_match"]
+    assert comparison["clean_degrees"] == [1, 2]
 
 
 def test_compare_printed_series_documents_duplicates():
     comparison = compare_printed_series(3)
-    assert comparison.clean_degrees == [1, 2]
-    assert not comparison.exact_match
-    dup = {d["form"]: d for d in comparison.duplicates}
+    assert comparison["clean_degrees"] == [1, 2]
+    assert not comparison["exact_match"]
+    dup = {d["form"]: d for d in comparison["duplicate_terms"]}
     for form in ("[x,[x,y]]", "[y,[y,x]]"):
         assert dup[form]["occurrences"] == 2
         assert dup[form]["listed_total"] == "1/6"
         assert dup[form]["computed_coefficient"] == "1/12"
     # the word diffs show exactly the 1/12-vs-1/6 surplus at degree 3
-    assert all(d["degree"] == 3 for d in comparison.word_diffs)
+    assert all(d["degree"] == 3 for d in comparison["word_diffs"])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_printed_series_diff_matches_the_eight_letter_reference(n):
+    # the package lifts the even expansions' sum once; the reference sums
+    # the full expansions of the printed terms, repeats included
+    listing = [bracket_expand(t, n).scale(c) for c, t in printed_series_terms() if t.degree() <= n]
+    listed, computed = sum(listing, Series(n)).terms, extended_bch(n).terms
+    expected = [
+        {"degree": word_length(w), "word": word_name(_decode(w)),
+         "listed": str(listed.get(w, 0)), "computed": str(computed.get(w, 0))}
+        for w in sorted(listed.keys() | computed.keys())
+        if listed.get(w, 0) != computed.get(w, 0)
+    ]
+    assert bool(expected) == (n >= 3)
+    assert compare_printed_series(n)["word_diffs"] == expected
 
 
 def test_format_bracket_series_readable():
     text = format_bracket_series(bracket_basis_fit(2))
     assert "[x,y]" in text
-    assert "<x,u>" in text
+    assert "⟨x,u⟩" in text
 
 
 def test_inconsistent_fit_is_surfaced(monkeypatch):
@@ -428,7 +440,7 @@ def test_fit_refuses_terms_dependent_on_the_even_words():
 def _perturbed_bch_7(odd):
     """extended_bch(7) with 1 added to the coefficient of its first degree-7
     word of the given parity, as a fresh Series."""
-    terms = extended_bch(7).word_terms()
+    terms = word_terms(extended_bch(7))
     word = min(w for w in terms if len(w) == 7 and sum(l & 1 for l in w) == odd)
     return Series(7, {**terms, word: terms[word] + 1})
 
@@ -446,7 +458,7 @@ def test_fit_checks_every_word(monkeypatch, odd):
 
 
 def _even_expansion(term, truncation):
-    return bracket_value(term, _expansions(truncation, (0,))).terms
+    return bracket_value(term, _expansions(truncation)).terms
 
 
 @pytest.mark.parametrize("n", range(1, MAX_TRUNCATION + 1))
@@ -454,7 +466,7 @@ def test_series_odd_words_are_the_lift_of_its_even_words(n):
     # E0(u) = exp(u0), so no u1 or w1 occurs, and x1, y1 enter only as
     # the first-order lift x0 -> x0 + x1, y0 -> y0 + y1 of the even words
     z = extended_bch(n)
-    assert not any(l in (U1, W1) for word in z.word_terms() for l in word)
+    assert not any(l in (U1, W1) for word in word_terms(z) for l in word)
     assert _lift(z.even_part().terms) == z.terms
 
 
@@ -467,7 +479,9 @@ def test_lift_of_even_expansions_is_the_full_expansion():
         assert _lift(_even_expansion(term, n)) == bracket_expand(term, n).terms, str(term)
 
 
-def test_lift_refuses_terms_it_does_not_map_onto_their_expansion():
+def test_lift_refuses_terms_it_does_not_map_onto_their_expansion(monkeypatch):
+    import z2lie.bch as bch_mod
+
     x, u = gen("x"), gen("u")
     for term in (square_term(x, u), angle_term(x, x)):
         assert not _liftable(term)
@@ -476,3 +490,7 @@ def test_lift_refuses_terms_it_does_not_map_onto_their_expansion():
     target = _grouped(bracket_expand(square_term(x, u), 2).terms)
     with pytest.raises(ValueError, match=r"\[x,u\] does not lift"):
         _fit_degree([square_term(x, u)], target, 2)
+    # and the printed-series diff refuses such a term the same way
+    monkeypatch.setattr(bch_mod, "printed_series_terms", lambda: ((1, square_term(x, u)),))
+    with pytest.raises(ValueError, match=r"\[x,u\] does not lift"):
+        compare_printed_series(2)

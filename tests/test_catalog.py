@@ -118,7 +118,7 @@ def test_restriction_twist_in_complex_case():
 def test_restriction_not_closed():
     parent = catalog_algebra("O2")
     with pytest.raises(NotClosed) as err:
-        subalgebra_restrict(parent, [0, 1, 2], [])
+        subalgebra_restrict(parent, [0, 1, 2], [], name="sub")
     # e02 * e03 = e04 escapes the span
     assert err.value.witness == (1, 2, 3)
 
@@ -126,9 +126,22 @@ def test_restriction_not_closed():
 def test_restriction_parity_checked():
     parent = catalog_algebra("O2")
     with pytest.raises(ValueError):
-        subalgebra_restrict(parent, [8], [])
+        subalgebra_restrict(parent, [8], [], name="sub")
     with pytest.raises(ValueError):
-        subalgebra_restrict(parent, [0], [1])
+        subalgebra_restrict(parent, [0], [1], name="sub")
+
+
+@pytest.mark.parametrize(
+    "even, odd",
+    [([0, -16], []), ([], [-1]), ([], [16]), ([0, 1.0], []), ([0, True], [])],
+    ids=["-16", "-1", "16", "1.0", "True"],
+)
+def test_restriction_refuses_indices_outside_the_basis(even, odd):
+    # -16 and -1 alias e_0 and e_15 by negative indexing, 16 runs off the
+    # parity table, and True used to pass as e_1: each is refused by name
+    bad = (even + odd)[-1]
+    with pytest.raises(ValueError, match=f"index {bad!r} is not a basis index of O2"):
+        subalgebra_restrict(catalog_algebra("O2"), even, odd, name="sub")
 
 
 def test_associativity_classification():
