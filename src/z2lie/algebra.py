@@ -25,7 +25,7 @@ cleared denominators).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -79,8 +79,7 @@ class AlgebraFormatError(AlgebraError):
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class AlgebraDef:
+class AlgebraDef(namedtuple("AlgebraDef", "name dim parity structconst unit")):
     """Plain definition data: basis size, parities, structure constants, unit.
 
     ``structconst`` is sparse: ``(i, j, k, c)`` rows with ``c`` the nonzero
@@ -91,24 +90,17 @@ class AlgebraDef:
     operational handle; nothing here is checked beyond shapes and indices.
     """
 
-    name: str
-    dim: int
-    parity: tuple
-    structconst: tuple
-    unit: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        dim = self.dim
+    def __new__(cls, name, dim, parity, structconst, unit):
         if type(dim) is not int or not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dim must be an int in 1..{MAX_DIM}")
-        if len(self.parity) != dim or any(
-            type(p) is not int or p not in (0, 1) for p in self.parity
-        ):
+        if len(parity) != dim or any(type(p) is not int or p not in (0, 1) for p in parity):
             raise ValueError("parity must list one bit per basis vector")
-        if len(self.unit) != dim:
+        if len(unit) != dim:
             raise ValueError("unit vector length must equal dim")
         coeffs = {}
-        for i, j, k, c in self.structconst:
+        for i, j, k, c in structconst:
             if not all(type(n) is int and 0 <= n < dim for n in (i, j, k)):
                 raise AlgebraFormatError(
                     f"structure constant index ({i!r}, {j!r}, {k!r}) is not "
@@ -116,9 +108,8 @@ class AlgebraDef:
                 )
             coeffs[i, j, k] = coeffs.get((i, j, k), 0) + exact(c)
         triples = tuple((*ijk, c) for ijk, c in sorted(coeffs.items()) if c)
-        object.__setattr__(self, "parity", tuple(self.parity))
-        object.__setattr__(self, "structconst", triples)
-        object.__setattr__(self, "unit", tuple(exact(c) for c in self.unit))
+        unit = tuple(exact(c) for c in unit)
+        return super().__new__(cls, name, dim, tuple(parity), triples, unit)
 
     def to_json_dict(self):
         return {
@@ -225,7 +216,8 @@ class Z2Algebra:
     # -- constructors -----------------------------------------------------
 
     def basis(self, i):
-        if i not in range(self.dim):
+        # type, not range membership: True == 1 and 1.0 == 1 are in range(2)
+        if type(i) is not int or not 0 <= i < self.dim:
             raise IndexError(f"basis index {i!r} is outside range({self.dim})")
         return Element._from_terms(self, {i: 1})
 

@@ -9,16 +9,17 @@ Words with no odd letter are even, words with exactly one are odd.
 
 A :class:`Series` is a finite rational linear combination of such words up
 to a fixed truncation degree (an int-or-``Fraction`` :class:`linalg.ExactVector`,
-like an algebra ``Element``), with formal exp, log and geometric inverse,
-summed by Horner's rule.  Its words are keyed by int codes (a leading 1,
-then 3 bits per letter), and a product runs on both factors cleared of
-denominators and grouped by word length and parity, a form each Series
-computes once.  The central computation is
+like an algebra ``Element``), with formal exp and log summed by Horner's
+rule.  Its words are keyed by int codes (a leading 1, then 3 bits per
+letter), and a product runs on both factors cleared of denominators and
+grouped by word length and parity, a form each Series computes once.  The
+central computation is
 
     z = log( E0(u) * exp(x) * E0(u)^-1 * E0(w) * exp(y) * E0(w)^-1 )
 
-where E0(v) is the even part of exp(v0 + v1); with u = w = 0 this reduces
-to the classical Campbell-Baker-Hausdorff series of x and y.  The module
+where E0(v) is the even part of exp(v0 + v1), which is exp(v0), so that
+E0(v)^-1 = E0(-v); with u = w = 0 this reduces to the classical
+Campbell-Baker-Hausdorff series of x and y.  The module
 also evaluates angle/square bracket expressions (one evaluator for word
 series and any operand with ``*``, ``-`` and ``even_part()``), re-fits the
 computed series onto bracket monomials (Lyndon words over angle-wrapped
@@ -34,7 +35,6 @@ that no u1 or w1 occurs, since E0(u) = exp(u0).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -182,13 +182,13 @@ class Series(ExactVector):
         self._cleared = None
 
     @classmethod
-    def _from_terms(cls, truncation, terms, cleared=None):
+    def _from_terms(cls, truncation, terms):
         """A Series taking coded ``terms`` as is (nonzero ints or Fractions
-        within the quotient), and ``cleared`` as its operand form if given."""
+        within the quotient)."""
         out = object.__new__(cls)
         out.truncation = truncation
         out.terms = terms
-        out._cleared = cleared
+        out._cleared = None
         return out
 
     def _operand(self):
@@ -252,16 +252,16 @@ class Series(ExactVector):
         n = self.truncation
         left, den_a = self._operand()
         right, den_b = other._operand()
-        product = _word_product(left, right, n)
         terms = {}
-        for group in product.values():
+        for group in _word_product(left, right, n).values():
             terms.update(group)
         den = den_a * den_b
+        # divided() would make Fractions of int coefficients
         if den == 1:
-            return Series._from_terms(n, terms, (product, 1))
+            return Series._from_terms(n, terms)
         return Series._from_terms(n, divided(terms, den))
 
-    # -- exp / log / inverse ------------------------------------------------------
+    # -- exp / log ----------------------------------------------------------------
 
     def _power_series(self, coeff):
         """Sum of ``coeff(n) * self**n`` over n by Horner's rule,
@@ -298,14 +298,6 @@ class Series(ExactVector):
         t = self - Series.one(self.truncation)
         return t._power_series(lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
 
-    def inverse(self):
-        """Multiplicative inverse via the formal geometric series."""
-        c = self.constant
-        if not c:
-            raise BadConstantTerm("inverse requires nonzero constant term")
-        f = self.scale(Fraction(1) / c) - Series.one(self.truncation)
-        return f._power_series(lambda n: (-1) ** n).scale(Fraction(1) / c)
-
 
 @lru_cache(maxsize=None)
 def extended_bch(truncation: int) -> Series:
@@ -313,8 +305,9 @@ def extended_bch(truncation: int) -> Series:
 
         exp(z) = E0(u) exp(x) E0(u)^-1 * E0(w) exp(y) E0(w)^-1,
 
-    E0(v) being the even part of exp(v0 + v1) and its inverse the formal
-    geometric series.  Exact rational coefficients through ``truncation``.
+    E0(v) being the even part of exp(v0 + v1).  That is exp(v0), since odd
+    letters appear at most once in a word, so E0(v)^-1 = E0(-v).  Exact
+    rational coefficients through ``truncation``.
     """
     if not 1 <= truncation <= MAX_TRUNCATION:
         raise ValueError(f"truncation must be in 1..{MAX_TRUNCATION}")
@@ -322,29 +315,36 @@ def extended_bch(truncation: int) -> Series:
     y = Series.full_generator("y", truncation)
     u = Series.full_generator("u", truncation)
     w = Series.full_generator("w", truncation)
-    e0u = u.exp().even_part()
-    e0w = w.exp().even_part()
-    product = e0u * x.exp() * e0u.inverse() * e0w * y.exp() * e0w.inverse()
+    e0u, e0u_inv, e0w, e0w_inv = (
+        v.exp().even_part() for v in (u, u.scale(-1), w, w.scale(-1))
+    )
+    product = e0u * x.exp() * e0u_inv * e0w * y.exp() * e0w_inv
     return product.log()
 
 
 # -- bracket expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BracketTerm:
-    """Expression tree over the four symbols with angle/square nodes."""
+    """Immutable expression tree over the four symbols with angle/square nodes."""
 
-    op: str  # "gen" | "angle" | "square"
-    name: str = ""
-    left: "BracketTerm | None" = None
-    right: "BracketTerm | None" = None
+    __slots__ = ("op", "name", "left", "right", "_hash")
 
-    def __post_init__(self):
-        # the hash of a node, from its children's cached hashes; equality
-        # still compares whole trees
-        object.__setattr__(
-            self, "_hash", hash((self.op, self.name, self.left, self.right))
+    def __init__(self, op, name="", left=None, right=None):
+        # op is "gen", "angle" or "square"; the hash of a node comes from its
+        # children's cached hashes, while equality compares whole trees
+        fields = (op, name, left, right)
+        for slot, value in zip(self.__slots__, (*fields, hash(fields))):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a BracketTerm")
+
+    def __eq__(self, other):
+        if not isinstance(other, BracketTerm):
+            return NotImplemented
+        return (self.op, self.name, self.left, self.right) == (
+            other.op, other.name, other.left, other.right
         )
 
     def __hash__(self):

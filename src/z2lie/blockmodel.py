@@ -28,7 +28,7 @@ refused if it has nonzero entries there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
@@ -61,16 +61,15 @@ class LogOutOfDomain(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BlockShape:
-    p: int
-    q: int
+class BlockShape(namedtuple("BlockShape", "p q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+    def __new__(cls, p, q):
+        if p < 1 or q < 1:
             raise ValueError("block dimensions must be positive")
-        if self.p + self.q > MAX_BLOCK_SIZE:
+        if p + q > MAX_BLOCK_SIZE:
             raise ValueError(f"p + q must be at most {MAX_BLOCK_SIZE}")
+        return super().__new__(cls, p, q)
 
     @property
     def n(self):
@@ -191,7 +190,6 @@ def _randranges(rng, stop, count):
     return np.array([rng.randrange(stop) for _ in range(count)], dtype=np.intp)
 
 
-@dataclass
 class XiGroupSample:
     """Sampled elements of the group generated by exponentials of a basis.
 
@@ -201,16 +199,13 @@ class XiGroupSample:
     operator norm at most ``SAMPLE_NORM_BOUND``.
     """
 
-    shape: BlockShape
-    generators: np.ndarray
-    mats: np.ndarray
-
-    def __post_init__(self):
-        self.generators = _block_matrices(self.shape, self.generators)
-        self.mats = _block_matrices(self.shape, self.mats)
-        if not len(self.mats):
+    def __init__(self, shape: BlockShape, generators, mats):
+        self.shape = shape
+        self.generators = _block_matrices(shape, generators)
+        self.mats = mats = _block_matrices(shape, mats)
+        if not len(mats):
             raise ValueError("a sample holds at least one element")
-        p, mats = self.shape.p, self.mats
+        p = shape.p
         if np.any(np.linalg.norm(mats, 2, axis=(1, 2)) > SAMPLE_NORM_BOUND):
             raise ValueError("sample element exceeds the norm bound")
         # the diagonal blocks of an element are those of its even part
@@ -399,9 +394,10 @@ def correspondence_roundtrip(
     the closure draws ``XI_CLOSURE_TRIALS`` pairs.  ``budget``, the size of the
     group sample, must be an int above dim(L) and at most ``MAX_BUDGET``,
     checked before any exact work: the identity has log 0, so spanning
-    dim(L) tangent directions takes dim(L) + 1 samples.  ``seed``
-    must be a nonnegative int; the sample draws from ``seed`` and the
-    closure check from ``seed + 1``.
+    dim(L) tangent directions takes dim(L) + 1 samples.  The sample
+    exponentiates the dim(L) generators that enlarge their span, in order.
+    ``seed`` must be a nonnegative int; the sample draws from ``seed`` and
+    the closure check from ``seed + 1``.
     """
     if not (isfinite(tol) and tol >= 0):
         raise ValueError("tolerances must be finite and nonnegative")
@@ -413,8 +409,7 @@ def correspondence_roundtrip(
     if not all(isinstance(g, Element) and g.algebra is alg for g in generators):
         raise ValueError(f"generators must be Elements of {alg.name}")
     span = FractionSpan()
-    for g in generators:
-        span.add(g.terms)
+    independent = [g for g in generators if span.add(g.terms)]
     dim_l = span.dim
     if isinstance(budget, bool) or not isinstance(budget, int) or budget <= dim_l:
         raise ValueError(f"budget must be an int greater than dim(L) = {dim_l}")
@@ -431,8 +426,8 @@ def correspondence_roundtrip(
         closure.note = "vacuous: empty basis"
 
     units = block_matrix_units(shape.p, shape.q)
-    float_gens = np.zeros((len(generators), shape.n, shape.n))
-    for mat, el in zip(float_gens, generators):
+    float_gens = np.zeros((dim_l, shape.n, shape.n))
+    for mat, el in zip(float_gens, independent):
         for i, value in el.terms.items():
             mat[units[i]] = float(value)
     sample = sample_xi_group(shape, float_gens, budget, seed)

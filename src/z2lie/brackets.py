@@ -33,7 +33,6 @@ distinct, so a trial takes 50 ``Element`` products, not 70.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -108,11 +107,13 @@ IDENTITIES = (
 _LETTERS = {"triple": 3, "polarized_pair": 3, "pair": 2}
 
 
-@dataclass
 class _FreeOperand(ExactVector):
     """Int sums of binary trees over graded letters; a product drops two odd leaves."""
 
-    terms: dict
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
 
     def _like(self, terms):
         return _FreeOperand(terms)

@@ -8,18 +8,16 @@ produced from the same seed are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 MAX_WITNESSES = 5
 
 
-@dataclass
 class CheckResult:
-    name: str
-    trials: int = 0
-    failure_count: int = 0
-    failures: list = field(default_factory=list)
-    note: str = ""
+    def __init__(self, name, note=""):
+        self.name = name
+        self.note = note
+        self.trials = 0
+        self.failure_count = 0
+        self.failures = []
 
     @property
     def passed(self):
@@ -50,17 +48,17 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationReport:
-    subject: str
-    checks: list = field(default_factory=list)
+    def __init__(self, subject):
+        self.subject = subject
+        self.checks = []
 
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
 
     def check(self, name, note=""):
-        result = CheckResult(name=name, note=note)
+        result = CheckResult(name, note)
         self.checks.append(result)
         return result
 

@@ -115,8 +115,9 @@ def test_table_products():
     assert f(8) * f(4) == -1 * f(12)    # e11*e05 = -e15 at twist -1
 
 
-@pytest.mark.parametrize("index", [-1, 2, 5])
+@pytest.mark.parametrize("index", [-1, 2, 5, True, 1.0])
 def test_basis_index_out_of_range(index):
+    # True and 1.0 equal 1, but only an int indexes the basis
     alg = catalog_algebra("C")
     with pytest.raises(IndexError, match=r"range\(2\)"):
         alg.basis(index)

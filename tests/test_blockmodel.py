@@ -524,7 +524,11 @@ def test_correspondence_refuses_a_budget_at_most_dim_l(budget):
     # one unit generator: dim(L) = 1, so the budget must be an int above 1
     with pytest.raises(ValueError, match="budget must be an int greater than dim"):
         correspondence_roundtrip(UNIT00, SHAPE11, budget=budget, seed=0)
-    assert correspondence_roundtrip(UNIT00, SHAPE11, budget=2, seed=0).passed
+    single = correspondence_roundtrip(UNIT00, SHAPE11, budget=2, seed=0)
+    assert single.passed
+    # a repeated generator adds nothing to dim(L), so nothing to the sample
+    repeated = correspondence_roundtrip(UNIT00 * 2, SHAPE11, budget=2, seed=0)
+    assert repeated.to_json_dict() == single.to_json_dict()
 
 
 @pytest.mark.parametrize("budget", [-5, 0, 1, True], ids=repr)

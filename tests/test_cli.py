@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import z2lie
 from z2lie import blockmodel
-from z2lie.algebra import load_algebra, validate_z2
+from z2lie.algebra import AlgebraDef, load_algebra, validate_z2
+from z2lie.bch import angle_term, gen, square_term
+from z2lie.blockmodel import BlockShape
 from z2lie.catalog import CATALOG_NAMES, catalog_algebra
 from z2lie.cli import main
 
@@ -611,7 +613,7 @@ from z2lie.brackets import associator_terms
 def built():
     return [associator_terms.cache_info().misses, associator_tensor.cache_info().misses]
 
-after_import = [*built(), "numpy" in sys.modules]
+after_import = [*built(), *(m in sys.modules for m in ("numpy", "dataclasses", "inspect"))]
 with contextlib.redirect_stdout(io.StringIO()):
     code = z2lie.cli.main(["correspond", "--shape", "2,2"])
 print(json.dumps([after_import, code, built()[1]]))
@@ -620,16 +622,35 @@ print(json.dumps([after_import, code, built()[1]]))
 
 def test_importing_the_cli_derives_and_builds_nothing():
     # every command pays this import: no identity is derived, no associator
-    # tensor built and numpy not loaded until a command asks for them
+    # tensor built and numpy not loaded until a command asks for them, and
+    # neither dataclasses nor the inspect module it imports is loaded at all
     env = dict(os.environ, PYTHONPATH=str(Path(z2lie.__file__).parent.parent))
     child = subprocess.run(
         [sys.executable, "-c", _IMPORT_CHILD],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     after_import, correspond, tensors = json.loads(child.stdout)
-    assert after_import == [0, 0, False]
+    assert after_import == [0, 0, False, False, False]
     # correspond closes its generators on the structure constants, not the tensor
     assert correspond == 0 and tensors == 0
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: AlgebraDef("t", 2, [0, 1], [(0, 1, 1, 1)], [1, 0]), "structconst"),
+        (lambda: square_term(gen("x"), angle_term(gen("y"), gen("w"))), "left"),
+        (lambda: BlockShape(2, 3), "p"),
+    ],
+    ids=["AlgebraDef", "BracketTerm", "BlockShape"],
+)
+def test_value_types_refuse_assignment_and_compare_by_value(make, field):
+    # BracketTerms key the bracket_value memo, and cached algebras share their definition
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    assert a == b
 
 
 _BLAS_THREADS_CHILD = """
